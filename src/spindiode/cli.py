@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .liouville import assemble_liouvillian
-from .models import ModelSpec, build_hamiltonian, chain_ends, current_bonds
-from .observables import BiasSetup, bond_current, magnetization_profile
+from .models import ModelSpec, build_hamiltonian, current_bonds
+from .observables import bias_dissipators, magnetization_profile, solve_bias, spin_current_op
 from .presets import FIGURE_PRESETS, run_preset
-from .steadystate import steady_state_solve
 from .sweep import SweepConfig, default_workers, export, run_sweep
 
 EXIT_OK = 0
@@ -46,14 +45,7 @@ def _cmd_sweep(args) -> int:
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from None
     if args.workers is not None:
-        config = SweepConfig(
-            model=config.model,
-            axes=config.axes,
-            coupled=config.coupled,
-            bath=config.bath,
-            outputs=config.outputs,
-            workers=args.workers,
-        )
+        config = replace(config, workers=args.workers)
     table = run_sweep(config)
     export(table, args.format, args.out)
     n_failed = sum(1 for row in table.rows if row[-1])
@@ -87,26 +79,18 @@ def _cmd_steady(args) -> int:
         raise ConfigError(f"invalid model: {exc}") from None
 
     H = build_hamiltonian(spec)
-    first, last = chain_ends(spec)
-    hot, cold = (first, last) if args.bias == "forward" else (last, first)
-    setup = BiasSetup(hot_site=hot, cold_site=cold, gamma=args.gamma)
-    from .observables import _shadow_channels
-
-    L = assemble_liouvillian(H, setup.dissipators() + _shadow_channels(spec))
-    result = steady_state_solve(L)
-    rho = result.rho_ss
-    bonds = current_bonds(spec)
-    j_a = bond_current(rho, spec.n_sites, bonds[0])
-    j_b = bond_current(rho, spec.n_sites, bonds[1])
+    dissipators = bias_dissipators(spec, args.gamma)[0 if args.bias == "forward" else 1]
+    ops = [spin_current_op(spec.n_sites, *bond) for bond in current_bonds(spec)]
+    result, j_a, j_b = solve_bias(H, dissipators, ops)
     doc = {
         "variant": spec.variant.value,
         "bias": args.bias,
-        "hot_site": hot,
-        "cold_site": cold,
+        "hot_site": dissipators[0].site,
+        "cold_site": dissipators[1].site,
         "gamma": args.gamma,
         "J": 0.5 * (j_a + j_b),
         "continuity": abs(j_a - j_b),
-        "magnetization": [float(x) for x in magnetization_profile(rho)],
+        "magnetization": [float(x) for x in magnetization_profile(result.rho_ss)],
         "residual": result.residual,
     }
     json.dump(doc, sys.stdout, indent=1)

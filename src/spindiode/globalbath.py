@@ -344,12 +344,9 @@ class HeatDiodeMetrics:
     rho_r: Operator | None = None
 
 
-def _thermal_steady_state(H, baths, blocks=None) -> tuple[Operator, list[float]]:
+def _thermal_steady_state(H, baths, blocks) -> tuple[Operator, list[float]]:
     """Solve the global master equation; state in the computational basis."""
-    if blocks is None:
-        L, dissipators = assemble_global_liouvillian(H, baths)
-    else:
-        L, dissipators = _assemble_from_blocks(H, baths, blocks)
+    L, dissipators = _assemble_from_blocks(H, baths, blocks)
     rho_energy = steady_state_solve(L).rho_ss
     U = dissipators[0].U
     rho = Operator(U @ rho_energy.matrix @ U.conj().T)
@@ -400,9 +397,7 @@ def evaluate_heat_diode(
     states = []
     for hot_first in (True, False):
         T1, Tn = (T_H, T_C) if hot_first else (T_C, T_H)
-        rho, (k1, kn) = _thermal_steady_state(
-            H, [bath(first, T1), bath(last, Tn)], blocks=blocks
-        )
+        rho, (k1, kn) = _thermal_steady_state(H, [bath(first, T1), bath(last, Tn)], blocks)
         currents.append(k1)
         balance.append(abs(k1 + kn))
         states.append(rho)

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import DissipatorKind, DissipatorSpec, assemble_liouvillian
+# assemble_liouvillian and steady_state_solve are unused; bench/tracer.py patches them here
+from .liouville import DissipatorKind, DissipatorSpec, assemble_liouvillian  # noqa: F401
 from .models import ModelSpec, Variant
-from .observables import DiodeMetrics, contrast, rectification
+from .observables import DiodeMetrics, diode_metrics
 from .spinops import SIGMA_MINUS, SIGMA_Z, Operator, site_operator
-from .steadystate import steady_state_solve
+from .steadystate import steady_state_solve  # noqa: F401
 
 __all__ = [
     "FermionOps",
@@ -119,32 +120,12 @@ def fermionic_current_metrics(spec: ModelSpec, gamma: float = 1.0) -> DiodeMetri
     """
     H = build_jw_hamiltonian(spec)
     f = jw_fermions(6)
-    j_first = fermionic_current_op(f, 1, 2)
-    j_last = fermionic_current_op(f, 5, 6)
-
-    currents = []
-    continuity = []
-    states = []
-    for lam1, lam6 in ((0.5, 0.0), (0.0, 0.5)):
-        dissipators = [
+    ops = [fermionic_current_op(f, 1, 2), fermionic_current_op(f, 5, 6)]
+    biases = [
+        [
             DissipatorSpec(site=1, gamma=gamma, lam=lam1, kind=DissipatorKind.FERMION_LADDER),
             DissipatorSpec(site=6, gamma=gamma, lam=lam6, kind=DissipatorKind.FERMION_LADDER),
         ]
-        L = assemble_liouvillian(H, dissipators)
-        rho = steady_state_solve(L).rho_ss
-        j_a = float(np.trace(j_first.matrix @ rho.matrix).real)
-        j_b = float(np.trace(j_last.matrix @ rho.matrix).real)
-        currents.append(0.5 * (j_a + j_b))
-        continuity.append(abs(j_a - j_b))
-        states.append(rho)
-
-    J_f, J_r = currents
-    return DiodeMetrics(
-        J_f=J_f,
-        J_r=J_r,
-        R=rectification(J_f, J_r),
-        C=contrast(J_f, J_r),
-        continuity=(continuity[0], continuity[1]),
-        rho_f=states[0],
-        rho_r=states[1],
-    )
+        for lam1, lam6 in ((0.5, 0.0), (0.0, 0.5))
+    ]
+    return diode_metrics(H, biases, ops)

@@ -23,7 +23,6 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import expm
 
 from .spinops import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, Operator, StateVector, site_operator
 
@@ -41,12 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_DT = 0.02  # fixed propagation step in units of 1/J
-
-# below this superoperator dimension the dense matrix-exponential
-# propagator is cheap; above it the Krylov evaluation of exp(L t) v
-# is used instead (a dense 4096^2 exponential already takes minutes
-# and a 16384^2 one does not fit in memory)
-_DENSE_EXPM_MAX_DIM = 1024
 
 
 class DissipatorKind(Enum):
@@ -234,8 +227,9 @@ def propagate(L: Liouvillian, rho0, times) -> list[Operator]:
 
     Returns the trajectory [rho(t) for t in times].  A time grid that
     starts after 0 is honored: the state is first evolved to times[0].
-    Small systems use cached dense exponentials of L*dt; larger ones
-    evaluate exp(L t) v iteratively (same semantics, no dense matrix).
+    Each step evaluates exp(L dt) v with scipy's expm_multiply, which
+    never forms the dense exponential (a dense 4096^2 one takes minutes
+    and a 16384^2 one does not fit in memory).
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -246,19 +240,6 @@ def propagate(L: Liouvillian, rho0, times) -> list[Operator]:
 
     steps = np.diff(np.concatenate(([0.0], ts)))
     out = []
-    if L.dim <= _DENSE_EXPM_MAX_DIM:
-        dense = L.dense()
-        cache: dict[float, np.ndarray] = {}
-        for t, dt in zip(ts, steps):
-            key = round(float(dt), 12)
-            if key != 0.0:
-                if key not in cache:
-                    cache[key] = expm(dense * dt)
-                v = cache[key] @ v
-            _check_finite(v, t)
-            out.append(Operator(unvectorize(v)))
-        return out
-
     scaled: dict[float, sp.csr_matrix] = {}
     for t, dt in zip(ts, steps):
         key = round(float(dt), 12)

@@ -18,7 +18,7 @@ import numpy as np
 from .liouville import DissipatorKind, DissipatorSpec, assemble_liouvillian
 from .models import ModelSpec, Variant, build_hamiltonian, chain_ends, current_bonds
 from .spinops import SIGMA_X, SIGMA_Y, SIGMA_Z, Operator, StateVector, site_operator
-from .steadystate import steady_state_solve
+from .steadystate import SteadyStateResult, steady_state_solve
 
 __all__ = [
     "BiasSetup",
@@ -30,6 +30,9 @@ __all__ = [
     "fidelity_pure",
     "fidelity_mixed",
     "concurrence",
+    "bias_dissipators",
+    "solve_bias",
+    "diode_metrics",
     "evaluate_diode",
 ]
 
@@ -165,49 +168,55 @@ def concurrence(rho) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def _shadow_channels(spec: ModelSpec) -> list[DissipatorSpec]:
-    if spec.variant is not Variant.SHADOW_CORRECTED:
-        return []
-    return [
-        DissipatorSpec(site=7, gamma=spec.gamma_S, kind=DissipatorKind.DECAY_T1),
-    ]
-
-
 def bond_current(rho, n_sites: int, bond: tuple[int, int]) -> float:
     op = spin_current_op(n_sites, *bond)
     m = rho.matrix if isinstance(rho, Operator) else np.asarray(rho, dtype=complex)
     return float(np.trace(op.matrix @ m).real)
 
 
-def evaluate_diode(spec: ModelSpec, gamma: float = 1.0, extra_dissipators=()) -> DiodeMetrics:
-    """Solve both bias directions of a variant and report currents, R and C.
+def bias_dissipators(
+    spec: ModelSpec, gamma: float = 1.0, extra_dissipators=()
+) -> tuple[list[DissipatorSpec], list[DissipatorSpec]]:
+    """Forward and reverse channel lists of a spin-chain variant.
 
-    The hot/cold ladder baths go on the chain ends; ShadowCorrected
-    additionally gets the shadow qubit decay at rate spec.gamma_S.
-    ``extra_dissipators`` (e.g. decoherence_channels) are appended to
-    both biases unchanged.  The reported current per bias is the mean of
-    the first- and last-bond currents, which agree to continuity
-    tolerance in a boundary-driven steady state.
+    Each starts with the hot and cold ladder baths on the chain ends
+    (hot first), followed by the ShadowCorrected shadow-qubit decay at
+    rate spec.gamma_S and then ``extra_dissipators`` unchanged.
     """
-    H = build_hamiltonian(spec)
     first, last = chain_ends(spec)
-    bonds = current_bonds(spec)
-    fixed = _shadow_channels(spec) + list(extra_dissipators)
+    shadow = []
+    if spec.variant is Variant.SHADOW_CORRECTED:
+        shadow = [DissipatorSpec(site=7, gamma=spec.gamma_S, kind=DissipatorKind.DECAY_T1)]
+    fixed = shadow + list(extra_dissipators)
+    forward = BiasSetup(hot_site=first, cold_site=last, gamma=gamma)
+    return forward.dissipators() + fixed, forward.swapped().dissipators() + fixed
 
+
+def solve_bias(H, dissipators, current_ops) -> tuple[SteadyStateResult, float, float]:
+    """Steady state of H under one bias and the currents of the two bonds.
+
+    ``current_ops`` holds the first- and last-bond current operators.
+    """
+    result = steady_state_solve(assemble_liouvillian(H, dissipators))
+    rho = result.rho_ss.matrix
+    j_first, j_last = (float(np.trace(op.matrix @ rho).real) for op in current_ops)
+    return result, j_first, j_last
+
+
+def diode_metrics(H, biases, current_ops) -> DiodeMetrics:
+    """Solve the forward and reverse channel lists and form R and C.
+
+    The reported current per bias is the mean of the first- and
+    last-bond currents; ``continuity`` keeps their difference.
+    """
     currents = []
     continuity = []
     states = []
-    for setup in (
-        BiasSetup(hot_site=first, cold_site=last, gamma=gamma),
-        BiasSetup(hot_site=last, cold_site=first, gamma=gamma),
-    ):
-        L = assemble_liouvillian(H, setup.dissipators() + fixed)
-        rho = steady_state_solve(L).rho_ss
-        j_a = bond_current(rho, spec.n_sites, bonds[0])
-        j_b = bond_current(rho, spec.n_sites, bonds[1])
+    for dissipators in biases:
+        result, j_a, j_b = solve_bias(H, dissipators, current_ops)
         currents.append(0.5 * (j_a + j_b))
         continuity.append(abs(j_a - j_b))
-        states.append(rho)
+        states.append(result.rho_ss)
 
     J_f, J_r = currents
     return DiodeMetrics(
@@ -219,3 +228,14 @@ def evaluate_diode(spec: ModelSpec, gamma: float = 1.0, extra_dissipators=()) ->
         rho_f=states[0],
         rho_r=states[1],
     )
+
+
+def evaluate_diode(spec: ModelSpec, gamma: float = 1.0, extra_dissipators=()) -> DiodeMetrics:
+    """Solve both bias directions of a variant and report currents, R and C.
+
+    The baths are placed by :func:`bias_dissipators`; ``extra_dissipators``
+    (e.g. decoherence_channels) are appended to both biases unchanged.
+    """
+    H = build_hamiltonian(spec)
+    ops = [spin_current_op(spec.n_sites, *bond) for bond in current_bonds(spec)]
+    return diode_metrics(H, bias_dissipators(spec, gamma, extra_dissipators), ops)

@@ -90,27 +90,15 @@ class BathConfig:
         return self.T_C + self.dT if self.dT is not None else self.T_H
 
 
-_DEFAULT_OUTPUTS = {
-    "spin": ["J_f", "J_r", "R", "C"],
-    "fermion": ["J_f", "J_r", "R", "C"],
-    "heat": ["K_f", "K_r", "R_Q"],
-}
-
+_DIODE_OUTPUTS = ["J_f", "J_r", "R", "C", "continuity_f", "continuity_r"]
+_ENTANGLEMENT_OUTPUTS = ["F_psi_minus_34_r", "F_psi_plus_34_r", "concurrence_34_r"]
 _KNOWN_OUTPUTS = {
-    "spin": [
-        "J_f",
-        "J_r",
-        "R",
-        "C",
-        "continuity_f",
-        "continuity_r",
-        "F_psi_minus_34_r",
-        "F_psi_plus_34_r",
-        "concurrence_34_r",
-    ],
-    "fermion": ["J_f", "J_r", "R", "C", "continuity_f", "continuity_r"],
+    "spin": _DIODE_OUTPUTS + _ENTANGLEMENT_OUTPUTS,
+    "fermion": _DIODE_OUTPUTS,
     "heat": ["K_f", "K_r", "R_Q", "balance_f", "balance_r"],
 }
+# the currents and the rectification: J_f, J_r, R, C or K_f, K_r, R_Q
+_DEFAULT_OUTPUTS = {mode: names[: 3 if mode == "heat" else 4] for mode, names in _KNOWN_OUTPUTS.items()}
 
 
 @dataclass(frozen=True)
@@ -288,16 +276,9 @@ def _evaluate_point(config: SweepConfig, params: dict[str, float]) -> dict[str, 
         }
     if bath.mode == "fermion":
         m = fermionic_current_metrics(spec, gamma=bath.gamma)
-        return {
-            "J_f": m.J_f,
-            "J_r": m.J_r,
-            "R": m.R,
-            "C": m.C,
-            "continuity_f": m.continuity[0],
-            "continuity_r": m.continuity[1],
-        }
-    extra = decoherence_channels(spec.n_sites, bath.T) if bath.T is not None else ()
-    m = evaluate_diode(spec, gamma=bath.gamma, extra_dissipators=extra)
+    else:
+        extra = decoherence_channels(spec.n_sites, bath.T) if bath.T is not None else ()
+        m = evaluate_diode(spec, gamma=bath.gamma, extra_dissipators=extra)
     out = {
         "J_f": m.J_f,
         "J_r": m.J_r,
@@ -306,8 +287,7 @@ def _evaluate_point(config: SweepConfig, params: dict[str, float]) -> dict[str, 
         "continuity_f": m.continuity[0],
         "continuity_r": m.continuity[1],
     }
-    wanted = set(config.outputs)
-    if wanted & {"F_psi_minus_34_r", "F_psi_plus_34_r", "concurrence_34_r"}:
+    if set(config.outputs) & set(_ENTANGLEMENT_OUTPUTS):
         # entanglement diagnostics live on the middle pair of the chain
         reduced = partial_trace(m.rho_r, keep=(3, 4))
         out["F_psi_minus_34_r"] = fidelity_pure(reduced, bell_state("psi-"))

@@ -4,7 +4,10 @@ import math
 import pytest
 
 from spindiode.cli import main
+from spindiode.globalbath import evaluate_heat_diode
+from spindiode.jordanwigner import fermionic_current_metrics
 from spindiode.models import ModelSpec, Variant
+from spindiode.observables import evaluate_diode
 from spindiode.sweep import BathConfig, SweepConfig, SweepTable, export, run_sweep
 
 TUNED = {"variant": "Diode", "Delta": 5.0, "delta": 0.03, "J34": -6.3}
@@ -144,6 +147,29 @@ def test_entanglement_outputs():
     assert row["concurrence_34_r"] > 0.8
 
 
+def test_fermion_and_heat_rows_match_library():
+    fermion = {
+        "model": TUNED,
+        "axes": [["delta", [0.03]]],
+        "bath": {"mode": "fermion", "gamma": 0.7},
+        "outputs": ["J_f", "J_r", "R", "C", "continuity_f", "continuity_r"],
+    }
+    row = run_sweep(SweepConfig.from_json(json.dumps(fermion))).rows[0]
+    m = fermionic_current_metrics(ModelSpec.from_json(json.dumps(TUNED)), gamma=0.7)
+    assert row == [0.03, m.J_f, m.J_r, m.R, m.C, m.continuity[0], m.continuity[1], ""]
+
+    heat_model = {"variant": "Heat_HQ", "delta": 0.01, "h": 5.0, "J34": 6.3}
+    heat = {
+        "model": heat_model,
+        "axes": [["h", [5.0]]],
+        "bath": {"mode": "heat", "T_C": 0.1, "T_H": 5.1},
+        "outputs": ["K_f", "K_r", "R_Q", "balance_f", "balance_r"],
+    }
+    row = run_sweep(SweepConfig.from_json(json.dumps(heat))).rows[0]
+    h = evaluate_heat_diode(ModelSpec.from_json(json.dumps(heat_model)), T_C=0.1, T_H=5.1)
+    assert row == [5.0, h.K_f, h.K_r, h.R_Q, h.balance[0], h.balance[1], ""]
+
+
 def test_cli_sweep_roundtrip(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(small_config())
@@ -186,6 +212,15 @@ def test_cli_steady_json(tmp_path, capsys):
     assert doc["J"] == pytest.approx(2.923092e-02, rel=1e-4)
     assert doc["continuity"] < 1e-8
     assert len(doc["magnetization"]) == 6
+
+    # the CLI solves one bias exactly as evaluate_diode solves both
+    m = evaluate_diode(spec)
+    assert doc["J"] == m.J_f and doc["continuity"] == m.continuity[0]
+    rc = main(["steady", "--model", spec.to_json(), "--bias", "reverse"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["hot_site"] == 6 and doc["cold_site"] == 1
+    assert doc["J"] == m.J_r and doc["continuity"] == m.continuity[1]
 
     rc = main(["steady", "--model", "{\"variant\": \"NoSuch\"}", "--bias", "forward"])
     assert rc == 2
