@@ -25,7 +25,7 @@ sparse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,18 +54,14 @@ class ThermalBathSpec:
 
     ``secular_cutoff`` is the width of the (omega, omega') pairing
     window; 0 keeps only equal frequencies after degeneracy grouping
-    (full secular approximation).  ``degeneracy_tol`` groups eigenvalues
-    (None: 1e-9 times the spectral scale).  ``include_zero_frequency``
-    switches the dephasing-like omega = 0 blocks (rate gamma*T) on or
-    off.
+    (full secular approximation).  Eigenvalues and frequencies closer
+    than 1e-9 times the spectral scale count as degenerate.
     """
 
     site: int
     temperature: float
     gamma: float = 1.0
     secular_cutoff: float = 0.0
-    degeneracy_tol: float | None = None
-    include_zero_frequency: bool = True
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -92,78 +88,66 @@ def bath_rate(omega: float, T: float, gamma: float) -> float:
 
 
 def _cluster(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Group sorted-by-value entries closer than tol.
+    """Group sorted-by-value entries closer than tol (single linkage).
 
     Returns (labels, means): labels[i] is the cluster of values[i] and
     means[k] the mean of cluster k, in increasing order.
     """
     order = np.argsort(values)
+    ordered = values[order]
+    sorted_labels = np.cumsum(np.diff(ordered, prepend=ordered[:1]) > tol)
     labels = np.empty(len(values), dtype=int)
-    means = []
-    current = [values[order[0]]]
-    cid = 0
-    labels[order[0]] = 0
-    for idx in order[1:]:
-        if values[idx] - current[-1] > tol:
-            means.append(float(np.mean(current)))
-            current = []
-            cid += 1
-        current.append(values[idx])
-        labels[idx] = cid
-    means.append(float(np.mean(current)))
-    return labels, np.array(means)
+    labels[order] = sorted_labels
+    means = np.bincount(sorted_labels, weights=ordered) / np.bincount(sorted_labels)
+    return labels, means
+
+
+def _matrix(X) -> np.ndarray:
+    return X.matrix if isinstance(X, Operator) else np.asarray(X, dtype=complex)
+
+
+def _eigensystem(H) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, U) of a Hermitian H."""
+    Hm = _matrix(H)
+    if np.max(np.abs(Hm - Hm.conj().T)) > 1e-10:
+        raise ValueError("H must be Hermitian")
+    return np.linalg.eigh(Hm)
 
 
 class _EigenBlocks:
     """Eigen-operator decomposition of one coupling operator.
 
-    Holds the eigenbasis (U, eps) of H and, for every distinct grouped
-    transition frequency omega, the block A(omega) of the rotated
-    coupling, stored sparse in the energy basis.
+    Holds the eigenvectors U of H and the transition table of the
+    rotated coupling U^dagger C U: its nonzero elements ``values`` at
+    (``rows``, ``cols``) with grouped frequency ``omega`` = eps' - eps,
+    sorted by ``omega``.  A(omega) is the part of the table at one
+    frequency.
     """
 
-    def __init__(self, H, coupling, degeneracy_tol: float | None, eigensystem=None):
-        Cm = coupling.matrix if isinstance(coupling, Operator) else np.asarray(coupling, dtype=complex)
+    def __init__(self, eigensystem, coupling):
+        Cm = _matrix(coupling)
         if np.max(np.abs(Cm - Cm.conj().T)) > 1e-10:
             raise ValueError("coupling must be Hermitian")
-        if eigensystem is None:
-            Hm = H.matrix if isinstance(H, Operator) else np.asarray(H, dtype=complex)
-            if np.max(np.abs(Hm - Hm.conj().T)) > 1e-10:
-                raise ValueError("H must be Hermitian")
-            eps, U = np.linalg.eigh(Hm)
-        else:
-            eps, U = eigensystem
-        scale = max(float(np.abs(eps).max()), 1.0)
-        if degeneracy_tol is None:
-            degeneracy_tol = 1e-9 * scale
-        labels, means = _cluster(eps, degeneracy_tol)
+        eps, U = eigensystem
+        tol = 1e-9 * max(float(np.abs(eps).max()), 1.0)
+        labels, means = _cluster(eps, tol)
 
         Ct = U.conj().T @ Cm @ U
-        d = Ct.shape[0]
         rows, cols = np.nonzero(np.abs(Ct) > 1e-13 * max(np.abs(Ct).max(), 1e-300))
-        gaps = means[labels[cols]] - means[labels[rows]]  # omega = eps' - eps
-        gap_labels, gap_means = _cluster(gaps, degeneracy_tol) if len(gaps) else (np.array([], dtype=int), np.array([]))
+        gap_labels, gap_means = _cluster(means[labels[cols]] - means[labels[rows]], tol)
         # snap the group containing zero exactly to zero
-        gap_means[np.abs(gap_means) <= degeneracy_tol] = 0.0
-
-        blocks: dict[float, sp.csr_matrix] = {}
-        for k, omega in enumerate(gap_means):
-            mask = gap_labels == k
-            A = sp.csr_matrix(
-                (Ct[rows[mask], cols[mask]], (rows[mask], cols[mask])), shape=(d, d)
-            )
-            blocks[float(omega)] = A
+        gap_means[np.abs(gap_means) <= tol] = 0.0
+        omega = gap_means[gap_labels]
+        order = np.argsort(omega, kind="stable")
 
         self.U = U
-        self.eps = eps
-        self.degeneracy_tol = degeneracy_tol
-        self.blocks = blocks  # omega -> A(omega), energy basis
-
-    def frequencies(self) -> list[float]:
-        return sorted(self.blocks)
+        self.rows = rows[order]
+        self.cols = cols[order]
+        self.values = Ct[self.rows, self.cols]
+        self.omega = omega[order]
 
 
-def eigen_operators(H, coupling, degeneracy_tol: float | None = None):
+def eigen_operators(H, coupling):
     """All (omega, A(omega)) pairs of a coupling operator, computational basis.
 
     The frequencies are the distinct eigenvalue gaps eps' - eps of H
@@ -171,22 +155,14 @@ def eigen_operators(H, coupling, degeneracy_tol: float | None = None):
     sum A(omega) = coupling, A(-omega) = A(omega)^dagger and
     [H, A(omega)] = -omega A(omega).
     """
-    eb = _EigenBlocks(H, coupling, degeneracy_tol)
+    eb = _EigenBlocks(_eigensystem(H), coupling)
+    freqs, starts = np.unique(eb.omega, return_index=True)
     out = []
-    for omega in eb.frequencies():
-        A = eb.U @ eb.blocks[omega].toarray() @ eb.U.conj().T
-        out.append((omega, Operator(A)))
+    for omega, lo, hi in zip(freqs, starts, [*starts[1:], len(eb.omega)]):
+        A = np.zeros_like(eb.U)
+        A[eb.rows[lo:hi], eb.cols[lo:hi]] = eb.values[lo:hi]
+        out.append((float(omega), Operator(eb.U @ A @ eb.U.conj().T)))
     return out
-
-
-def _kron_triplets(B: sp.csr_matrix, A: sp.csr_matrix, d: int):
-    """COO triplets of kron(B, A) for small sparse factors."""
-    Bc = B.tocoo()
-    Ac = A.tocoo()
-    rows = (Bc.row[:, None] * d + Ac.row[None, :]).ravel()
-    cols = (Bc.col[:, None] * d + Ac.col[None, :]).ravel()
-    vals = (Bc.data[:, None] * Ac.data[None, :]).ravel()
-    return rows, cols, vals
 
 
 @dataclass
@@ -200,8 +176,7 @@ class GlobalDissipator:
 
     def apply(self, rho) -> np.ndarray:
         """D[rho] in the computational basis."""
-        m = rho.matrix if isinstance(rho, Operator) else np.asarray(rho, dtype=complex)
-        rho_e = self.U.conj().T @ m @ self.U
+        rho_e = self.U.conj().T @ _matrix(rho) @ self.U
         out_e = unvectorize(self.matrix_energy @ vectorize(rho_e))
         return self.U @ out_e @ self.U.conj().T
 
@@ -212,57 +187,48 @@ class GlobalDissipator:
 
 
 def _dissipator_energy(eb: _EigenBlocks, bath: ThermalBathSpec) -> sp.csr_matrix:
-    """Assemble the secular dissipator from eigen-blocks, energy basis."""
-    d = len(eb.eps)
-    dim = d * d
-    omegas = eb.frequencies()
-    if not bath.include_zero_frequency:
-        omegas = [w for w in omegas if w != 0.0]
+    """Secular dissipator in the energy basis, one pass over transition pairs.
 
+    Every transition s with a nonzero rate pairs with every transition t
+    whose frequency lies within the secular cutoff, and contributes
+
+        1/2 rate(w_s) [ A_s . A_t' + A_t . A_s' - A_t'A_s . - . A_s'A_t ].
+    """
+    d = len(eb.U)
+    freqs, inverse = np.unique(eb.omega, return_inverse=True)
+    rates = np.array([bath_rate(w, bath.temperature, bath.gamma) for w in freqs])[inverse]
+
+    s = np.flatnonzero(rates != 0.0)
+    lo = np.searchsorted(eb.omega, eb.omega[s] - bath.secular_cutoff, side="left")
+    hi = np.searchsorted(eb.omega, eb.omega[s] + bath.secular_cutoff, side="right")
+    counts = hi - lo
+    # t runs over lo[k] .. hi[k] - 1 for the k-th s
+    t = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    s = np.repeat(s, counts)
+
+    a_s, b_s, a_t, b_t = eb.rows[s], eb.cols[s], eb.rows[t], eb.cols[t]
+    # vec(rho) stacks columns, so vec(X rho Y) = kron(Y^T, X) vec(rho); the
+    # second sandwich term is the Hermitian conjugate of the first
+    weight = 0.5 * rates[s] * (eb.values[t].conj() * eb.values[s])
+    sandwich = sp.csr_matrix(
+        (
+            np.concatenate([weight, weight.conj()]),
+            (np.concatenate([a_t * d + a_s, a_s * d + a_t]), np.concatenate([b_t * d + b_s, b_s * d + b_t])),
+        ),
+        shape=(d * d, d * d),
+    )
+    # the no-jump factor sum 1/2 rate A_t'A_s is small (d x d), so kron
+    # it with the identity once; A_s'A_t = (A_t'A_s)' and transposing
+    # that for vec(rho X) gives its conjugate
+    same = a_s == a_t
+    M = sp.csr_matrix((weight[same], (b_t[same], b_s[same])), shape=(d, d))
     eye = sp.identity(d, dtype=complex, format="csr")
-    warr = np.asarray(omegas)
-    rows_acc, cols_acc, vals_acc = [], [], []
-    # the no-jump terms are linear in sum_pairs rate Aj'Ai, so accumulate
-    # that small d x d factor densely and kron with the identity once
-    M = np.zeros((d, d), dtype=complex)
-    for wi in omegas:
-        Ai = eb.blocks[wi]
-        rate = bath_rate(wi, bath.temperature, bath.gamma)
-        if rate == 0.0:
-            continue
-        lo = int(np.searchsorted(warr, wi - bath.secular_cutoff, side="left"))
-        hi = int(np.searchsorted(warr, wi + bath.secular_cutoff, side="right"))
-        for wj in omegas[lo:hi]:
-            Aj = eb.blocks[wj]
-            # 1/2 rate(wi) [ Ai . Aj' + Aj . Ai' - Aj'Ai . - . Ai'Aj ]
-            r, c, v = _kron_triplets(Aj.conj(), Ai, d)
-            rows_acc.append(r), cols_acc.append(c), vals_acc.append(0.5 * rate * v)
-            r, c, v = _kron_triplets(Ai.conj(), Aj, d)
-            rows_acc.append(r), cols_acc.append(c), vals_acc.append(0.5 * rate * v)
-            M += 0.5 * rate * (Aj.conj().T @ Ai).toarray()
-
-    if rows_acc:
-        sandwich = sp.csr_matrix(
-            (np.concatenate(vals_acc), (np.concatenate(rows_acc), np.concatenate(cols_acc))),
-            shape=(dim, dim),
-        )
-    else:
-        sandwich = sp.csr_matrix((dim, dim), dtype=complex)
-    Ms = sp.csr_matrix(M)
-    # Ai'Aj = (Aj'Ai)' and transposing that for vec(rho X) gives conj(Aj'Ai)
-    small = -sp.kron(eye, Ms, format="csr") - sp.kron(Ms.conj(), eye, format="csr")
-    return (sandwich + small).tocsr()
+    return (sandwich - sp.kron(eye, M, format="csr") - sp.kron(M.conj(), eye, format="csr")).tocsr()
 
 
 def global_dissipator(H, bath: ThermalBathSpec) -> GlobalDissipator:
     """Secular thermal dissipator for a sigma_x coupling at bath.site."""
-    Hm = H.matrix if isinstance(H, Operator) else np.asarray(H, dtype=complex)
-    n_sites = int(Hm.shape[0]).bit_length() - 1
-    coupling = site_operator(n_sites, bath.site, SIGMA_X)
-    eb = _EigenBlocks(Hm, coupling, bath.degeneracy_tol)
-    return GlobalDissipator(
-        bath=bath, U=eb.U, eps=eb.eps, matrix_energy=_dissipator_energy(eb, bath)
-    )
+    return assemble_global_liouvillian(H, [bath])[1][0]
 
 
 def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, list[GlobalDissipator]]:
@@ -272,46 +238,20 @@ def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, list[GlobalDissi
     diagonal); the accompanying GlobalDissipator objects carry the basis
     for rotating states back.  All baths share one diagonalization.
     """
-    Hm = H.matrix if isinstance(H, Operator) else np.asarray(H, dtype=complex)
     baths = list(baths)
     if not baths:
         raise ValueError("need at least one bath")
-    if np.max(np.abs(Hm - Hm.conj().T)) > 1e-10:
-        raise ValueError("H must be Hermitian")
-    eigensystem = np.linalg.eigh(Hm)
-    blocks = _site_blocks(Hm, baths, eigensystem)
-    return _assemble_from_blocks(H, baths, blocks)
-
-
-def _site_blocks(Hm, baths, eigensystem) -> dict[int, _EigenBlocks]:
-    """One eigen-operator decomposition per distinct bath site."""
-    n_sites = int(Hm.shape[0]).bit_length() - 1
-    out: dict[int, _EigenBlocks] = {}
-    for bath in baths:
-        if bath.site not in out:
-            coupling = site_operator(n_sites, bath.site, SIGMA_X)
-            out[bath.site] = _EigenBlocks(
-                Hm, coupling, bath.degeneracy_tol, eigensystem=eigensystem
-            )
-    return out
-
-
-def _assemble_from_blocks(H, baths, blocks: dict[int, _EigenBlocks]):
+    eps, U = eigensystem = _eigensystem(H)
+    n_sites = len(eps).bit_length() - 1
     dissipators = []
     for bath in baths:
-        eb = blocks[bath.site]
-        dissipators.append(
-            GlobalDissipator(
-                bath=bath, U=eb.U, eps=eb.eps, matrix_energy=_dissipator_energy(eb, bath)
-            )
-        )
+        eb = _EigenBlocks(eigensystem, site_operator(n_sites, bath.site, SIGMA_X))
+        dissipators.append(GlobalDissipator(bath, U, eps, _dissipator_energy(eb, bath)))
 
-    eps = dissipators[0].eps
     # vec(rho) stacks columns, so the (row, col) matrix entry sits at
     # vec index col*d + row and -i[H, .] is diagonal there
     phase = -1j * (eps[:, None] - eps[None, :])
-    coherent = sp.diags(phase.ravel(order="F"), format="csr")
-    total = coherent
+    total = sp.diags(phase.ravel(order="F"), format="csr")
     for dis in dissipators:
         total = total + dis.matrix_energy
     return Liouvillian(total.tocsr(), source=(H, tuple(baths))), dissipators
@@ -324,8 +264,7 @@ def heat_current(H, dissipator: GlobalDissipator, rho_ss) -> float:
     state the currents of the baths balance, K_1 = -K_n, so either one
     determines the transported heat.
     """
-    Hm = H.matrix if isinstance(H, Operator) else np.asarray(H, dtype=complex)
-    return float(np.trace(Hm @ dissipator.apply(rho_ss)).real)
+    return float(np.trace(_matrix(H) @ dissipator.apply(rho_ss)).real)
 
 
 @dataclass
@@ -344,9 +283,9 @@ class HeatDiodeMetrics:
     rho_r: Operator | None = None
 
 
-def _thermal_steady_state(H, baths, blocks) -> tuple[Operator, list[float]]:
+def _thermal_steady_state(H, baths) -> tuple[Operator, list[float]]:
     """Solve the global master equation; state in the computational basis."""
-    L, dissipators = _assemble_from_blocks(H, baths, blocks)
+    L, dissipators = assemble_global_liouvillian(H, baths)
     rho_energy = steady_state_solve(L).rho_ss
     U = dissipators[0].U
     rho = Operator(U @ rho_energy.matrix @ U.conj().T)
@@ -360,7 +299,6 @@ def evaluate_heat_diode(
     T_H: float = 10.1,
     gamma: float = 1.0,
     secular_cutoff: float = 0.0,
-    include_zero_frequency: bool = True,
 ) -> HeatDiodeMetrics:
     """Heat rectification of a thermally driven chain.
 
@@ -377,27 +315,12 @@ def evaluate_heat_diode(
     H = build_hamiltonian(spec)
     first, last = chain_ends(spec)
 
-    def bath(site, T):
-        return ThermalBathSpec(
-            site=site,
-            temperature=T,
-            gamma=gamma,
-            secular_cutoff=secular_cutoff,
-            include_zero_frequency=include_zero_frequency,
-        )
-
-    # the eigen-operator blocks depend on the site but not the bath
-    # temperature, so both biases share them
-    Hm = H.matrix
-    eigensystem = np.linalg.eigh(Hm)
-    blocks = _site_blocks(Hm, [bath(first, T_C), bath(last, T_C)], eigensystem)
-
     currents = []
     balance = []
     states = []
-    for hot_first in (True, False):
-        T1, Tn = (T_H, T_C) if hot_first else (T_C, T_H)
-        rho, (k1, kn) = _thermal_steady_state(H, [bath(first, T1), bath(last, Tn)], blocks)
+    for T1, Tn in ((T_H, T_C), (T_C, T_H)):
+        baths = [ThermalBathSpec(site, T, gamma, secular_cutoff) for site, T in ((first, T1), (last, Tn))]
+        rho, (k1, kn) = _thermal_steady_state(H, baths)
         currents.append(k1)
         balance.append(abs(k1 + kn))
         states.append(rho)

@@ -71,8 +71,10 @@ class BiasSetup:
 class DiodeMetrics:
     """Steady-state currents of both biases and the derived quality measures.
 
-    ``continuity`` holds |first-bond minus last-bond current| per bias;
-    both stay below 1e-8 for converged boundary-driven steady states.
+    ``continuity`` holds |first-bond minus last-bond current| per bias.
+    It stays below 1e-8 for converged steady states only when the drive
+    conserves the excitation number; the ShadowCorrected shadow drive
+    does not, and there it can be comparable to the currents themselves.
     The steady states themselves ride along for entanglement analysis.
     """
 

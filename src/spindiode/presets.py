@@ -307,7 +307,7 @@ def fig6c(points: int | None = None, workers: int = 1):
 
 def fig7a(points: int | None = None, workers: int = 1):
     """Heat rectification landscape over h x J34, delta = 0.01 (48 x 48,
-    roughly 15 min: each point solves two secular master equations)."""
+    about 2 min: each point solves two secular master equations, ~0.05 s)."""
     n = points or 48
     cfg = SweepConfig(
         model=ModelSpec(variant=Variant.HEAT_HQ, delta=0.01),

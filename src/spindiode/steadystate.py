@@ -109,6 +109,18 @@ def _hermitian_null_basis(null_vecs: list[np.ndarray]) -> list[np.ndarray]:
     return basis
 
 
+def _eigs_near_zero(L: Liouvillian, k: int, scale: float, **kwargs):
+    """``spla.eigs`` for the k eigenvalues of L nearest zero (shift-invert).
+
+    The factorization of L - 0*I can fail since L is singular; the
+    retry nudges the shift into the open left half plane.
+    """
+    try:
+        return spla.eigs(L.matrix.tocsc(), k=k, sigma=0.0, which="LM", **kwargs)
+    except RuntimeError:
+        return spla.eigs(L.matrix.tocsc(), k=k, sigma=-1e-6 * max(scale, 1.0), which="LM", **kwargs)
+
+
 def steady_states(
     L: Liouvillian,
     null_tol: float | None = None,
@@ -139,12 +151,7 @@ def steady_states(
         null_vecs = [vr[:, i] for i in null_idx]
     elif method == "arnoldi":
         kk = min(k, L.dim - 2)
-        try:
-            w, vr = spla.eigs(L.matrix.tocsc(), k=kk, sigma=0.0, which="LM")
-        except RuntimeError:
-            # the factorization of L - 0*I can fail since L is singular;
-            # nudge the shift into the open left half plane
-            w, vr = spla.eigs(L.matrix.tocsc(), k=kk, sigma=-1e-6 * max(scale, 1.0), which="LM")
+        w, vr = _eigs_near_zero(L, kk, scale)
         null_idx = np.flatnonzero(np.abs(w) < null_tol)
         if len(null_idx) == kk:
             warnings.warn(
@@ -272,17 +279,7 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     gain = float(np.linalg.norm(lu.solve(probe))) * scale
     if gain > 1e10:
         sscale = _spectral_scale(L)
-        kk = min(4, dim - 2)
-        try:
-            w = spla.eigs(
-                L.matrix.tocsc(), k=kk, sigma=0.0, which="LM",
-                v0=np.ones(dim), return_eigenvectors=False,
-            )
-        except RuntimeError:
-            w = spla.eigs(
-                L.matrix.tocsc(), k=kk, sigma=-1e-6 * max(sscale, 1.0),
-                which="LM", v0=np.ones(dim), return_eigenvectors=False,
-            )
+        w = _eigs_near_zero(L, min(4, dim - 2), sscale, v0=np.ones(dim), return_eigenvectors=False)
         second = float(np.sort(np.abs(w))[1])
         # a true second null vector resolves at ~1e-17 of scale, the
         # slowest observed physical mode at ~1e-14 of scale

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from spindiode.globalbath import (
     ThermalBathSpec,
+    _cluster,
     assemble_global_liouvillian,
     bath_rate,
     eigen_operators,
@@ -42,6 +43,51 @@ def test_eigen_operator_identities():
         assert_allclose(by_freq[-w], A.matrix.conj().T, atol=1e-10)
         comm = H.matrix @ A.matrix - A.matrix @ H.matrix
         assert_allclose(comm, -w * A.matrix, atol=1e-8)
+
+
+def dense_secular_dissipator(H, bath):
+    """Dense oracle built from the public eigen-operator pairs, column-stacked vec.
+
+    D = sum over |w_i - w_j| <= cutoff of
+        1/2 rate(w_i) [A_i . A_j' + A_j . A_i' - A_j'A_i . - . A_i'A_j].
+    """
+    n = H.matrix.shape[0].bit_length() - 1
+    pairs = eigen_operators(H, site_operator(n, bath.site, SIGMA_X))
+    eye = np.eye(H.matrix.shape[0])
+    D = np.zeros((eye.size, eye.size), dtype=complex)
+    for wi, Ai in pairs:
+        rate = bath_rate(wi, bath.temperature, bath.gamma)
+        for wj, Aj in pairs:
+            if abs(wi - wj) > bath.secular_cutoff:
+                continue
+            Ai_, Aj_ = Ai.matrix, Aj.matrix
+            D += 0.5 * rate * (
+                np.kron(Aj_.conj(), Ai_)
+                + np.kron(Ai_.conj(), Aj_)
+                - np.kron(eye, Aj_.conj().T @ Ai_)
+                - np.kron((Ai_.conj().T @ Aj_).T, eye)
+            )
+    return D
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 0.5])
+def test_secular_dissipator_matches_dense_oracle(cutoff):
+    H = small_hamiltonian(3)
+    bath = ThermalBathSpec(site=1, temperature=1.3, gamma=0.8, secular_cutoff=cutoff)
+    if cutoff > 0:
+        freqs = [w for w, _ in eigen_operators(H, site_operator(3, 1, SIGMA_X))]
+        assert any(0 < abs(wi - wj) <= cutoff for wi in freqs for wj in freqs)
+    D = global_dissipator(H, bath).superop()
+    assert np.abs(D - dense_secular_dissipator(H, bath)).max() < 1e-12
+
+
+def test_cluster_chains_gaps_below_tol():
+    tol = 1e-3
+    values = np.array([5.0, 0.0, 2 * 0.999e-3, 0.999e-3, 3 * 0.999e-3])
+    labels, means = _cluster(values, tol)
+    # neighbours 0.999e-3 apart chain although the ends are 3e-3 apart
+    assert list(labels) == [1, 0, 0, 0, 0]
+    assert_allclose(means, [1.5 * 0.999e-3, 5.0], rtol=1e-12)
 
 
 def test_bath_rate_detailed_balance():
