@@ -22,6 +22,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .spinops import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, Operator, StateVector, site_operator
@@ -35,11 +36,9 @@ __all__ = [
     "local_dissipator_superop",
     "assemble_liouvillian",
     "decoherence_channels",
+    "reachable",
     "propagate",
-    "DEFAULT_DT",
 ]
-
-DEFAULT_DT = 0.02  # fixed propagation step in units of 1/J
 
 
 class DissipatorKind(Enum):
@@ -222,14 +221,35 @@ def _as_density_vec(rho0) -> np.ndarray:
     return vectorize(m)
 
 
+def reachable(L: Liouvillian, seeds) -> np.ndarray:
+    """Sorted vec indices reached from ``seeds`` along L's nonzero pattern.
+
+    Column j of L is nonzero only at rows reached from j, so the span of
+    the returned unit vectors is exactly invariant under L and exp(Lt);
+    no tolerance and no model knowledge enter.
+    """
+    m, n = L.matrix, L.dim
+    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    # edge j -> i per stored L[i, j], weighted by ones (csgraph takes real
+    # weights, and L's real parts vanish at its imaginary entries); a virtual
+    # node n feeds every seed, so one search covers them all
+    src = np.concatenate([m.indices, np.full(seeds.size, n)])
+    dst = np.concatenate([np.repeat(np.arange(n), np.diff(m.indptr)), seeds])
+    graph = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(n + 1, n + 1))
+    order = csgraph.breadth_first_order(graph, n, return_predecessors=False)
+    return np.sort(order[1:])
+
+
 def propagate(L: Liouvillian, rho0, times) -> list[Operator]:
     """Evolve rho0 along the given sorted time grid.
 
     Returns the trajectory [rho(t) for t in times].  A time grid that
     starts after 0 is honored: the state is first evolved to times[0].
-    Each step evaluates exp(L dt) v with scipy's expm_multiply, which
-    never forms the dense exponential (a dense 4096^2 one takes minutes
-    and a 16384^2 one does not fit in memory).
+    Only the block :func:`reachable` from the support of vec(rho0) is
+    evolved, as the trajectory never leaves it.  Each run of equal steps
+    is one scipy ``expm_multiply`` call (a non-uniform grid is runs of
+    length one), which never forms the dense exponential and estimates
+    the operator norms once per run.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -237,21 +257,24 @@ def propagate(L: Liouvillian, rho0, times) -> list[Operator]:
     if np.any(np.diff(ts) < 0) or ts[0] < 0:
         raise ValueError("times must be sorted and nonnegative")
     v = _as_density_vec(rho0)
+    idx = reachable(L, np.flatnonzero(v))
+    block = L.matrix[idx][:, idx]
+    u = v[idx]
 
-    steps = np.diff(np.concatenate(([0.0], ts)))
+    starts = np.concatenate(([0.0], ts[:-1]))
+    keys = np.round(ts - starts, 12)
     out = []
-    scaled: dict[float, sp.csr_matrix] = {}
-    for t, dt in zip(ts, steps):
-        key = round(float(dt), 12)
-        if key != 0.0:
-            if key not in scaled:
-                scaled[key] = (L.matrix * dt).tocsr()
-            v = spla.expm_multiply(scaled[key], v)
-        _check_finite(v, t)
-        out.append(Operator(unvectorize(v)))
+    for run in np.split(np.arange(ts.size), np.flatnonzero(np.diff(keys)) + 1):
+        if keys[run[0]] == 0.0:
+            states = [u] * run.size
+        else:
+            span = ts[run[-1]] - starts[run[0]]
+            states = spla.expm_multiply(block, u, start=0.0, stop=span, num=run.size + 1, endpoint=True)[1:]
+        for t, state in zip(ts[run], states):
+            if not np.all(np.isfinite(state)):
+                raise FloatingPointError(f"non-finite state encountered at t = {t}")
+            full = np.zeros(L.dim, dtype=complex)
+            full[idx] = state
+            out.append(Operator(unvectorize(full)))
+        u = states[-1]
     return out
-
-
-def _check_finite(v: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(v)):
-        raise FloatingPointError(f"non-finite state encountered at t = {t}")

@@ -10,10 +10,12 @@ provided, trading generality for speed:
 * a trace-constrained sparse linear solve (fastest; valid only when the
   steady state is unique, which it is for delta != 0).
 
-The linear solve replaces the first row of L with the trace functional
-and solves L' x = e_0; its residual against the original L is checked,
-so accidentally hitting a degenerate point (delta = 0) fails loudly
-instead of returning an arbitrary mixture.
+The linear solve works in the invariant block of vec indices reachable
+from the populations (:func:`spindiode.liouville.reachable`), replaces
+its first row with the trace functional and solves L' x = e_0; its
+residual against the full L is checked, so accidentally hitting a
+degenerate point (delta = 0) fails loudly instead of returning an
+arbitrary mixture.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .liouville import Liouvillian, propagate, unvectorize, vectorize
+from .liouville import Liouvillian, propagate, reachable, unvectorize, vectorize
 from .spinops import Operator, StateVector
 
 __all__ = [
@@ -91,7 +94,7 @@ def _hermitian_null_basis(null_vecs: list[np.ndarray]) -> list[np.ndarray]:
     Hermitian dimension equals its complex dimension; feeding both
     M + M^dag and i(M - M^dag) through Gram-Schmidt recovers that basis
     from whatever arbitrary complex combinations the eigensolver returns
-    (ARPACK's start vector is random, so the raw basis differs run to run).
+    (the raw basis depends on the solver's start vector and ordering).
     """
     basis: list[np.ndarray] = []
     for vec in null_vecs:
@@ -109,16 +112,17 @@ def _hermitian_null_basis(null_vecs: list[np.ndarray]) -> list[np.ndarray]:
     return basis
 
 
-def _eigs_near_zero(L: Liouvillian, k: int, scale: float, **kwargs):
-    """``spla.eigs`` for the k eigenvalues of L nearest zero (shift-invert).
+def _eigs_near_zero(M: sp.spmatrix, k: int, scale: float, **kwargs):
+    """``spla.eigs`` for the k eigenvalues of M nearest zero (shift-invert).
 
-    The factorization of L - 0*I can fail since L is singular; the
-    retry nudges the shift into the open left half plane.
+    M is L's matrix or an invariant block of it.  The factorization of
+    M - 0*I can fail since M is singular; the retry nudges the shift
+    into the open left half plane.
     """
     try:
-        return spla.eigs(L.matrix.tocsc(), k=k, sigma=0.0, which="LM", **kwargs)
+        return spla.eigs(M.tocsc(), k=k, sigma=0.0, which="LM", **kwargs)
     except RuntimeError:
-        return spla.eigs(L.matrix.tocsc(), k=k, sigma=-1e-6 * max(scale, 1.0), which="LM", **kwargs)
+        return spla.eigs(M.tocsc(), k=k, sigma=-1e-6 * max(scale, 1.0), which="LM", **kwargs)
 
 
 def steady_states(
@@ -151,7 +155,7 @@ def steady_states(
         null_vecs = [vr[:, i] for i in null_idx]
     elif method == "arnoldi":
         kk = min(k, L.dim - 2)
-        w, vr = _eigs_near_zero(L, kk, scale)
+        w, vr = _eigs_near_zero(L.matrix, kk, scale, v0=np.ones(L.dim))
         null_idx = np.flatnonzero(np.abs(w) < null_tol)
         if len(null_idx) == kk:
             warnings.warn(
@@ -240,6 +244,12 @@ def steady_states(
 def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     """Unique steady state via a trace-constrained sparse linear solve.
 
+    A unique steady state is the long-time limit of the maximally mixed
+    state, so only the block :func:`reachable` from the populations is
+    factored (924 of 4096 vec indices for the six-spin diode).  The one
+    thing the block cannot see is a steady coherence outside it, which
+    can only exist beside a second steady state, on a degenerate L.
+
     Much faster than eigendecomposition but assumes the null space is
     one-dimensional.  A degenerate L (e.g. delta = 0) raises instead of
     quietly returning an arbitrary member of the steady manifold; with a
@@ -249,20 +259,18 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     particular solution happens to have a tiny residual.  Strongly
     rectifying thermal points amplify almost as hard through a genuinely
     slow relaxation mode, so a large gain only flags the point and the
-    spectrum near zero arbitrates: degeneracy means a second eigenvalue
-    at the resolution floor, not merely a small one.
+    spectrum of the block near zero arbitrates: degeneracy means a second
+    eigenvalue at the resolution floor, not merely a small one.  The
+    final residual is checked against the full L.
     """
-    dim, hd = L.dim, L.hilbert_dim
-    A = L.matrix.copy()
-    A.data[A.indptr[0] : A.indptr[1]] = 0.0
-    A.eliminate_zeros()
-    trace_row = sp.csr_matrix(
-        (np.ones(hd), (np.zeros(hd, dtype=int), np.arange(0, dim, hd + 1))),
-        shape=(dim, dim),
-        dtype=complex,
-    )
-    A = (A + trace_row).tocsc()
-    b = np.zeros(dim, dtype=complex)
+    diagonal = np.arange(0, L.dim, L.hilbert_dim + 1)
+    idx = reachable(L, diagonal)
+    n = idx.size
+    block = L.matrix[idx][:, idx]
+    # idx[0] = 0 is the first population: its row becomes the trace row
+    trace_row = sp.csr_matrix(np.isin(idx, diagonal)[None, :].astype(complex))
+    A = sp.vstack([trace_row, block[1:]], format="csc")
+    b = np.zeros(n, dtype=complex)
     b[0] = 1.0
     lu = spla.splu(A)
     x = lu.solve(b)
@@ -270,7 +278,7 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
 
     scale = max(spla.norm(L.matrix, "fro"), 1.0)
     rng = np.random.default_rng(0x5D10DE)
-    probe = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    probe = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     probe /= np.linalg.norm(probe)
     # measured gains, invariant under uniform rescaling: < 4e5 at generic
     # unique points, 2e7 at delta = 1e-3, ~2e16 on a degenerate manifold,
@@ -279,7 +287,7 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     gain = float(np.linalg.norm(lu.solve(probe))) * scale
     if gain > 1e10:
         sscale = _spectral_scale(L)
-        w = _eigs_near_zero(L, min(4, dim - 2), sscale, v0=np.ones(dim), return_eigenvectors=False)
+        w = _eigs_near_zero(block, min(4, n - 2), sscale, v0=np.ones(n), return_eigenvectors=False)
         second = float(np.sort(np.abs(w))[1])
         # a true second null vector resolves at ~1e-17 of scale, the
         # slowest observed physical mode at ~1e-14 of scale
@@ -291,7 +299,9 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
                 "steady_states() instead"
             )
 
-    m = unvectorize(x)
+    full = np.zeros(L.dim, dtype=complex)
+    full[idx] = x
+    m = unvectorize(full)
     m = 0.5 * (m + m.conj().T)
     m = m / np.trace(m).real
     rho = Operator(_repair_psd(m))
@@ -314,11 +324,17 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
 def spectrum(L: Liouvillian) -> np.ndarray:
     """All 4^n eigenvalues, sorted by real part descending.
 
-    Dense: fine through six spins (a minute of work at 4096^2); for the
-    seven-spin models prefer steady_states(method="arnoldi") which only
-    resolves the spectrum near zero.
+    The strongly connected components of L's nonzero pattern put L in
+    block-triangular form, so this is the union of the dense spectra of
+    the diagonal blocks (six-spin diode: largest block 924 of 4096, a
+    few seconds).  For seven spins prefer steady_states(method="arnoldi").
     """
-    w = la.eigvals(L.dense())
+    m = L.matrix
+    # ones, not values: L's values cast to real vanish at imaginary entries
+    pattern = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
+    n_blocks, labels = csgraph.connected_components(pattern, directed=True, connection="strong")
+    blocks = (np.flatnonzero(labels == c) for c in range(n_blocks))
+    w = np.concatenate([la.eigvals(m[idx][:, idx].toarray()) for idx in blocks])
     return w[np.argsort(-w.real)]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from spindiode.liouville import (
@@ -15,7 +16,7 @@ from spindiode.liouville import (
     unvectorize,
     vectorize,
 )
-from spindiode.models import ModelSpec, Variant, build_hamiltonian
+from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34
 from spindiode.spinops import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -23,6 +24,7 @@ from spindiode.spinops import (
     Operator,
     product_state,
     site_operator,
+    standard_initial_states,
 )
 
 
@@ -221,6 +223,44 @@ def test_propagate_against_dense_expm():
         want = unvectorize(sla.expm(dense * t) @ vectorize(rho0))
         assert_allclose(rho_t.matrix, want, atol=1e-9)
         assert abs(rho_t.trace() - 1.0) < 1e-10
+
+
+def stepwise_reference(L, rho0, times):
+    """Full-space evolution, one expm_multiply per grid step."""
+    v = vectorize(rho0)
+    out, t_prev = [], 0.0
+    for t in times:
+        if t > t_prev:
+            v = spla.expm_multiply(L.matrix * (t - t_prev), v)
+        out.append(unvectorize(v))
+        t_prev = t
+    return out
+
+
+GRIDS = {
+    "uniform": np.linspace(0.0, 1.0, 5),
+    "nonuniform": [0.0, 0.1, 0.35, 0.4, 1.0],
+    "late_start_with_repeats": [0.3, 0.3, 0.5, 0.7, 0.7, 0.9],
+}
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+@pytest.mark.parametrize("initial", ["ghz", "random_full_support"])
+def test_block_propagate_matches_full_space_steps(initial, grid):
+    spec = ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=0.1, J34=critical_j34(5.0))
+    L = assemble_liouvillian(
+        build_hamiltonian(spec),
+        [DissipatorSpec(site=1, gamma=1.0, lam=0.5), DissipatorSpec(site=6, gamma=1.0, lam=0.0)],
+    )
+    if initial == "ghz":
+        # coherence between all-up and all-down seeds a block beyond the populations
+        rho0 = standard_initial_states(6)[2].density().matrix
+    else:
+        rho0 = random_density(np.random.default_rng(23), 64)
+    times = GRIDS[grid]
+    traj = propagate(L, Operator(rho0), times)
+    for rho_t, want in zip(traj, stepwise_reference(L, rho0, times), strict=True):
+        assert np.abs(rho_t.matrix - want).max() < 1e-10
 
 
 def test_propagate_accepts_state_vector():

@@ -1,0 +1,139 @@
+"""The reachable block of a Liouvillian against the full-space oracle.
+
+The oracle is the same code with ``reachable`` patched to return every
+vec index, so the block and full-space solves differ only in the
+subspace they factor.
+"""
+
+import numpy as np
+import pytest
+
+from spindiode import steadystate
+from spindiode.globalbath import ThermalBathSpec, assemble_global_liouvillian, evaluate_heat_diode
+from spindiode.jordanwigner import build_jw_hamiltonian
+from spindiode.liouville import (
+    DissipatorKind,
+    DissipatorSpec,
+    assemble_liouvillian,
+    decoherence_channels,
+    reachable,
+)
+from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34, critical_j34_heat
+from spindiode.observables import bias_dissipators
+from spindiode.steadystate import steady_state_solve
+
+DIODE = ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=0.1, J34=critical_j34(5.0))
+
+
+def diode_spin():
+    return assemble_liouvillian(build_hamiltonian(DIODE), bias_dissipators(DIODE)[0])
+
+
+def diode_fermion():
+    ladders = [
+        DissipatorSpec(site=1, gamma=1.0, lam=0.5, kind=DissipatorKind.FERMION_LADDER),
+        DissipatorSpec(site=6, gamma=1.0, lam=0.0, kind=DissipatorKind.FERMION_LADDER),
+    ]
+    return assemble_liouvillian(build_jw_hamiltonian(DIODE), ladders)
+
+
+def diode_decoherence():
+    extra = decoherence_channels(6, 1e3)
+    return assemble_liouvillian(build_hamiltonian(DIODE), bias_dissipators(DIODE, 1.0, extra)[1])
+
+
+def shadow_corrected():
+    spec = ModelSpec(variant=Variant.SHADOW_CORRECTED, Delta=5.0, delta=0.1, J34=critical_j34(5.0))
+    return assemble_liouvillian(build_hamiltonian(spec), bias_dissipators(spec)[0])
+
+
+def heat_spec(h):
+    return ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=h, J34=critical_j34_heat(h))
+
+
+def heat(h):
+    """Forward bias: the first site at T_H, in the energy basis."""
+    baths = [ThermalBathSpec(site=1, temperature=10.1), ThermalBathSpec(site=6, temperature=0.1)]
+    return assemble_global_liouvillian(build_hamiltonian(heat_spec(h)), baths)[0]
+
+
+# (builder, pinned size of the population block)
+CASES = {
+    "diode_spin": (diode_spin, 924),
+    "diode_fermion": (diode_fermion, 924),
+    "diode_decoherence": (diode_decoherence, 924),
+    "shadow_corrected": (shadow_corrected, 3432),
+    "heat_h5": (lambda: heat(5.0), 64),
+    "heat_h9": (lambda: heat(9.0), 66),
+}
+
+
+def population_block(L):
+    return reachable(L, np.arange(0, L.dim, L.hilbert_dim + 1))
+
+
+@pytest.fixture(scope="module", params=list(CASES))
+def case(request):
+    build, size = CASES[request.param]
+    return build(), size
+
+
+def test_block_is_invariant_and_pinned(case):
+    L, size = case
+    idx = population_block(L)
+    assert np.all(np.diff(idx) > 0)
+    assert idx.size == size
+    inside = np.zeros(L.dim, dtype=bool)
+    inside[idx] = True
+    assert L.matrix[~inside][:, inside].count_nonzero() == 0
+
+
+def test_block_steady_state_matches_full_space(case, monkeypatch):
+    L, _ = case
+    block = steady_state_solve(L).rho_ss.matrix
+    monkeypatch.setattr(steadystate, "reachable", lambda L, seeds: np.arange(L.dim))
+    full = steady_state_solve(L).rho_ss.matrix
+    assert np.abs(block - full).max() < 1e-10
+
+
+def test_heat_diode_matches_full_space_down_to_the_blocked_bias_floor(monkeypatch):
+    # the reverse bias relaxes through a mode at ~1e-13 of the spectral
+    # scale, so 1-ulp changes of L move rho_r by up to ~1e-4 and neither
+    # path resolves it to 1e-10 (against a 60-digit solve of the same
+    # block: block 3.8e-5 off, full space 7.4e-5); rho_f and both heat
+    # currents are resolved, K_r ~ 5e-11 to the solve's 1e-15 floor
+    block = evaluate_heat_diode(heat_spec(9.0))
+    monkeypatch.setattr(steadystate, "reachable", lambda L, seeds: np.arange(L.dim))
+    full = evaluate_heat_diode(heat_spec(9.0))
+    assert np.abs(block.rho_f.matrix - full.rho_f.matrix).max() < 1e-10
+    assert abs(block.K_f - full.K_f) < 1e-13
+    assert abs(block.K_r - full.K_r) < 1e-14
+
+
+def test_reachable_keeps_imaginary_entries():
+    # the coherent part couples |0><0| to the coherences through purely
+    # imaginary entries, whose real parts are zero
+    L = assemble_liouvillian(np.array([[1.0, 0.5], [0.5, -1.0]]), ())
+    assert L.matrix[1, 0].real == 0.0 and L.matrix[1, 0].imag != 0.0
+    assert reachable(L, [0]).tolist() == [0, 1, 2, 3]
+
+
+def test_reachable_follows_the_direction_of_decay():
+    # decay maps the excited population onto the ground one and never back
+    L = assemble_liouvillian(None, [DissipatorSpec(site=1, gamma=1.0, kind=DissipatorKind.DECAY_T1)])
+    sizes = []
+    for seed in (0, 3):
+        idx = reachable(L, [seed])
+        inside = np.isin(np.arange(L.dim), idx)
+        assert L.matrix[~inside][:, inside].count_nonzero() == 0
+        sizes.append(idx.size)
+    assert sorted(sizes) == [1, 2]
+
+
+def test_dropping_one_block_index_is_caught(monkeypatch):
+    L = diode_spin()
+    true_block = population_block(L)
+    dropped = np.delete(true_block, true_block.size // 2)
+    monkeypatch.setattr(steadystate, "reachable", lambda L, seeds: dropped)
+    with pytest.raises(RuntimeError):
+        steady_state_solve(L)

@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
-from spindiode.liouville import DissipatorSpec, assemble_liouvillian
+from spindiode.jordanwigner import build_jw_hamiltonian
+from spindiode.liouville import DissipatorKind, DissipatorSpec, assemble_liouvillian
 from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34
 from spindiode.spinops import coupling_zz, exchange_xx
 from spindiode.steadystate import (
@@ -96,6 +99,45 @@ def test_fast_solver_refuses_degenerate_null_space():
     L = boundary_driven(0.0, hot=6, cold=1)
     with pytest.raises(RuntimeError, match="degenerate"):
         steady_state_solve(L)
+
+
+@pytest.mark.parametrize("mode", ["spin", "fermion"])
+@pytest.mark.parametrize("hot, cold", [(1, 6), (6, 1)], ids=["forward", "reverse"])
+def test_fast_solver_refuses_zero_asymmetry_in_both_biases(mode, hot, cold):
+    spec = ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=0.0, J34=critical_j34(5.0))
+    if mode == "spin":
+        H, kind = build_hamiltonian(spec), DissipatorKind.SPIN_LADDER
+    else:
+        H, kind = build_jw_hamiltonian(spec), DissipatorKind.FERMION_LADDER
+    L = assemble_liouvillian(
+        H,
+        [
+            DissipatorSpec(site=hot, gamma=1.0, lam=0.5, kind=kind),
+            DissipatorSpec(site=cold, gamma=1.0, lam=0.0, kind=kind),
+        ],
+    )
+    with pytest.raises(RuntimeError, match="degenerate"):
+        steady_state_solve(L)
+
+
+def test_arnoldi_null_space_is_reproducible():
+    L = boundary_driven(0.0, hot=6, cold=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        first, second = (steady_states(L, method="arnoldi") for _ in range(2))
+    assert len(first.rho_all) == len(second.rho_all)
+    for a, b in zip(first.rho_all, second.rho_all):
+        assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_spectrum_matches_dense_eigvals():
+    L = small_chain()
+    blocks = spectrum(L)
+    dense = la.eigvals(L.dense())
+    # match the two lists as multisets: the optimal one-to-one pairing
+    rows, cols = linear_sum_assignment(np.abs(blocks[:, None] - dense[None, :]))
+    assert blocks.shape == dense.shape
+    assert np.abs(blocks[rows] - dense[cols]).max() < 1e-10
 
 
 def test_spectrum_structure():
