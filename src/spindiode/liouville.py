@@ -97,11 +97,9 @@ def unvectorize(v) -> np.ndarray:
 def jump_superop(L, rate: float = 1.0) -> sp.csr_matrix:
     """Vectorized dissipator rate*(L.L' - 1/2 {L'L, .}) for jump operator L."""
     Lm = sp.csr_matrix(L.matrix if isinstance(L, Operator) else np.asarray(L, dtype=complex))
-    d = Lm.shape[0]
-    eye = sp.identity(d, dtype=complex, format="csr")
+    eye = sp.identity(Lm.shape[0], dtype=complex, format="csr")
     LdL = (Lm.conj().T @ Lm).tocsr()
-    out = sp.kron(Lm.conj(), Lm, format="csr")
-    out = out - 0.5 * sp.kron(eye, LdL, format="csr")
+    out = sp.kron(Lm.conj(), Lm, format="csr") - 0.5 * sp.kron(eye, LdL, format="csr")
     out = out - 0.5 * sp.kron(LdL.T, eye, format="csr")
     return (rate * out).tocsr()
 
@@ -109,8 +107,7 @@ def jump_superop(L, rate: float = 1.0) -> sp.csr_matrix:
 def hamiltonian_superop(H) -> sp.csr_matrix:
     """The coherent part -i(I kron H - H^T kron I)."""
     Hm = sp.csr_matrix(H.matrix if isinstance(H, Operator) else np.asarray(H, dtype=complex))
-    d = Hm.shape[0]
-    eye = sp.identity(d, dtype=complex, format="csr")
+    eye = sp.identity(Hm.shape[0], dtype=complex, format="csr")
     return (-1j * (sp.kron(eye, Hm, format="csr") - sp.kron(Hm.T, eye, format="csr"))).tocsr()
 
 
@@ -118,27 +115,21 @@ def local_dissipator_superop(spec: DissipatorSpec, n_sites: int) -> sp.csr_matri
     """Superoperator matrix of one local bath channel on an n-spin register."""
     if spec.site > n_sites:
         raise ValueError(f"site {spec.site} out of range for {n_sites} sites")
-    kind = spec.kind
-    if kind is DissipatorKind.SPIN_LADDER:
-        up = site_operator(n_sites, spec.site, SIGMA_PLUS)
-        dn = site_operator(n_sites, spec.site, SIGMA_MINUS)
-        out = jump_superop(up, spec.gamma * spec.lam)
-        out = out + jump_superop(dn, spec.gamma * (1.0 - spec.lam))
-        return out.tocsr()
+    kind, site, gamma = spec.kind, spec.site, spec.gamma
     if kind is DissipatorKind.DECAY_T1:
-        dn = site_operator(n_sites, spec.site, SIGMA_MINUS)
-        return jump_superop(dn, spec.gamma)
+        return jump_superop(site_operator(n_sites, site, SIGMA_MINUS), gamma)
     if kind is DissipatorKind.DEPHASE_T2:
-        z = site_operator(n_sites, spec.site, SIGMA_Z)
-        return jump_superop(z, spec.gamma)
-    if kind is DissipatorKind.FERMION_LADDER:
+        return jump_superop(site_operator(n_sites, site, SIGMA_Z), gamma)
+    if kind is DissipatorKind.SPIN_LADDER:
+        up, dn = site_operator(n_sites, site, SIGMA_PLUS), site_operator(n_sites, site, SIGMA_MINUS)
+    elif kind is DissipatorKind.FERMION_LADDER:
         from .jordanwigner import jw_fermions  # deferred: jordanwigner imports this module
 
-        a = jw_fermions(n_sites)[spec.site - 1]
-        out = jump_superop(a.dag(), spec.gamma * spec.lam)
-        out = out + jump_superop(a, spec.gamma * (1.0 - spec.lam))
-        return out.tocsr()
-    raise ValueError(f"unknown dissipator kind {kind!r}")
+        dn = jw_fermions(n_sites)[site - 1]
+        up = dn.dag()
+    else:
+        raise ValueError(f"unknown dissipator kind {kind!r}")
+    return (jump_superop(up, gamma * spec.lam) + jump_superop(dn, gamma * (1.0 - spec.lam))).tocsr()
 
 
 class Liouvillian:
@@ -168,6 +159,29 @@ class Liouvillian:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
+    def restrict(self, idx):
+        """``(R, Q)``: the block at vec indices ``idx`` in real Hermitian coordinates.
+
+        Q is the sparse unitary whose columns, in ``idx`` order, are e_k for a
+        population k and (e_rc + e_cr)/sqrt(2), i(e_rc - e_cr)/sqrt(2) for a pair
+        r < c.  As L maps Hermitian matrices to Hermitian ones, R = Q^dag L[idx][:, idx] Q
+        is real CSR.  ValueError unless ``idx`` is closed under (r, c) -> (c, r)."""
+        idx = np.asarray(idx, dtype=np.int64)
+        n, d, ar = idx.size, self.hilbert_dim, np.arange(idx.size)
+        col, row = np.divmod(idx, d)
+        pos = np.full(self.dim, -1)
+        pos[idx] = ar
+        p = pos[row * d + col]  # the position of (c, r)
+        if np.any(p < 0):
+            raise ValueError("index set is not closed under the transposition (r, c) -> (c, r)")
+        # Q[i, i] = own[i] and Q[i, p[i]] = far[p[i]]
+        s, sides = np.sqrt(0.5), [row < col, row > col]
+        own, far = np.select(sides, [s, -1j * s], 1.0), np.select(sides, [s, 1j * s], 0.0)
+        Q = sp.csr_matrix((np.r_[own, far[p]], (np.r_[ar, ar], np.r_[ar, p])), shape=(n, n))
+        R = (Q.conj().T @ self.matrix[idx][:, idx] @ Q).real.tocsr()
+        R.eliminate_zeros()
+        return R, Q
+
     def __repr__(self):
         return f"Liouvillian(dim={self.dim}, nnz={self.matrix.nnz})"
 
@@ -186,8 +200,7 @@ def assemble_liouvillian(H, dissipators) -> Liouvillian:
         dim = Hm.shape[0]
         total = hamiltonian_superop(Hm)
     else:
-        sites = max(d.site for d in dissipators)
-        dim = 2**sites
+        dim = 2 ** max(d.site for d in dissipators)
         total = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
     n_sites = dim.bit_length() - 1
     for d in dissipators:
@@ -203,13 +216,8 @@ def decoherence_channels(n_sites: int, T: float) -> list[DissipatorSpec]:
     """
     if T <= 0:
         raise ValueError(f"lifetime T must be positive, got {T}")
-    channels = []
-    for site in range(1, n_sites + 1):
-        channels.append(DissipatorSpec(site=site, gamma=1.0 / T, kind=DissipatorKind.DECAY_T1))
-        channels.append(
-            DissipatorSpec(site=site, gamma=1.0 / (4.0 * T), kind=DissipatorKind.DEPHASE_T2)
-        )
-    return channels
+    rates = ((1.0 / T, DissipatorKind.DECAY_T1), (1.0 / (4.0 * T), DissipatorKind.DEPHASE_T2))
+    return [DissipatorSpec(site=site, gamma=g, kind=k) for site in range(1, n_sites + 1) for g, k in rates]
 
 
 def _as_density_vec(rho0) -> np.ndarray:
@@ -218,7 +226,9 @@ def _as_density_vec(rho0) -> np.ndarray:
     m = rho0.matrix if isinstance(rho0, Operator) else np.asarray(rho0, dtype=complex)
     if abs(np.trace(m) - 1.0) > 1e-10:
         raise ValueError("initial state must have unit trace")
-    return vectorize(m)
+    if np.linalg.norm(m - m.conj().T) > 1e-12 * np.linalg.norm(m):
+        raise ValueError("initial state must be Hermitian")
+    return vectorize(0.5 * (m + m.conj().T))
 
 
 def reachable(L: Liouvillian, seeds) -> np.ndarray:
@@ -245,11 +255,12 @@ def propagate(L: Liouvillian, rho0, times) -> list[Operator]:
 
     Returns the trajectory [rho(t) for t in times].  A time grid that
     starts after 0 is honored: the state is first evolved to times[0].
+    rho0 must have unit trace and be Hermitian to 1e-12 of its norm.
     Only the block :func:`reachable` from the support of vec(rho0) is
-    evolved, as the trajectory never leaves it.  Each run of equal steps
-    is one scipy ``expm_multiply`` call (a non-uniform grid is runs of
-    length one), which never forms the dense exponential and estimates
-    the operator norms once per run.
+    evolved, in the real coordinates of :meth:`Liouvillian.restrict`.
+    Each run of equal steps is one real ``expm_multiply`` call (a
+    non-uniform grid is runs of length one), which never forms the dense
+    exponential and estimates the operator norms once per run.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -258,8 +269,8 @@ def propagate(L: Liouvillian, rho0, times) -> list[Operator]:
         raise ValueError("times must be sorted and nonnegative")
     v = _as_density_vec(rho0)
     idx = reachable(L, np.flatnonzero(v))
-    block = L.matrix[idx][:, idx]
-    u = v[idx]
+    R, Q = L.restrict(idx)
+    u = (Q.conj().T @ v[idx]).real
 
     starts = np.concatenate(([0.0], ts[:-1]))
     keys = np.round(ts - starts, 12)
@@ -269,12 +280,12 @@ def propagate(L: Liouvillian, rho0, times) -> list[Operator]:
             states = [u] * run.size
         else:
             span = ts[run[-1]] - starts[run[0]]
-            states = spla.expm_multiply(block, u, start=0.0, stop=span, num=run.size + 1, endpoint=True)[1:]
+            states = spla.expm_multiply(R, u, start=0.0, stop=span, num=run.size + 1, endpoint=True)[1:]
         for t, state in zip(ts[run], states):
             if not np.all(np.isfinite(state)):
                 raise FloatingPointError(f"non-finite state encountered at t = {t}")
             full = np.zeros(L.dim, dtype=complex)
-            full[idx] = state
+            full[idx] = Q @ state
             out.append(Operator(unvectorize(full)))
         u = states[-1]
     return out

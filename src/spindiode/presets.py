@@ -7,8 +7,8 @@ parameters (delta, Delta, J34 parametrizations, bath settings) are
 fixed by the corresponding study.
 
 Runtime notes assume a single core.  The six-spin sweeps clear a few
-milliseconds to ~0.2 s per grid point; seven-spin models (the corrected
-and extended chains) cost roughly 3-10 s per point, so their default
+milliseconds to ~0.15 s per grid point; seven-spin models (the corrected
+and extended chains) cost roughly 1.5-3 s per point, so their default
 grids are deliberately coarse.
 """
 
@@ -117,7 +117,7 @@ def fig3b(points: int | None = None, workers: int = 1):
 def fig3c(points: int | None = None, workers: int = 1):
     """R vs decoherence lifetime TJ (logspace), without and with the
     shadow-qubit correction, plus the linear reference; delta = 0.1,
-    Delta = 5.  The corrected model is seven spins: ~10 s per point."""
+    Delta = 5.  The corrected model is seven spins: ~3 s per point."""
     n = points or 9
     t_axis = ("T", tuple(float(x) for x in np.logspace(2, 6, n)))
     common = dict(
@@ -151,7 +151,7 @@ def fig4a(points: int | None = None, workers: int = 1):
     with the initial state, the two-pair Bell state and the gate Bell
     state vs time.  Cold bath on site 1 only (the mechanism is bath
     driven); delta = 0.1, Delta = 100, J34 = -(Delta+1)J, gamma = J.
-    About 20 s: one Krylov run in the 262-dim block of the initial state."""
+    About 15 s: one real Krylov run in the 262-dim block of the initial state."""
     n = points or 401
     spec = ModelSpec(variant=Variant.DIODE, delta=0.1, Delta=100.0, J34=-101.0)
     from .models import build_hamiltonian
@@ -207,7 +207,7 @@ def fig4d(points: int | None = None, workers: int = 1):
 def fig4e(points: int | None = None, workers: int = 1):
     """R vs Delta for decoherence lifetimes TJ in {1e3, 1e4, 1e5}, without
     (solid) and with (dashed) the shadow correction; delta = 0.1.  The
-    corrected grid is seven spins: 16 x 3 points at 5-10 s each."""
+    corrected grid is seven spins: 16 x 3 points at ~3 s each."""
     n = points or 16
     lifetimes = (1e3, 1e4, 1e5)
     common = dict(
@@ -427,7 +427,7 @@ def fig9b(points: int | None = None, workers: int = 1):
 
 def fig9c(points: int | None = None, workers: int = 1):
     """R vs Delta for the two seven-spin extensions (XX bond appended or
-    prepended); about 3.5 s per point, so the default grid is coarse."""
+    prepended); about 2 s per point, so the default grid is coarse."""
     n = points or 16
     out = {}
     for label, variant in (("appended", Variant.EXTENDED_MXX), ("prepended", Variant.EXTENDED_XXM)):
@@ -444,8 +444,8 @@ def fig9c(points: int | None = None, workers: int = 1):
 
 def fig9d(points: int | None = None, workers: int = 1):
     """R landscape of the prepended-XXZ extension over Delta x J34
-    (12 x 12 by default; each seven-spin point costs ~3.5 s, so the full
-    default grid is about 9 min)."""
+    (12 x 12 by default; each seven-spin point costs ~2 s, so the full
+    default grid is about 5 min)."""
     n = points or 12
     cfg = SweepConfig(
         model=ModelSpec(variant=Variant.EXTENDED_XXZM, delta=0.01),

@@ -11,11 +11,12 @@ provided, trading generality for speed:
   steady state is unique, which it is for delta != 0).
 
 The linear solve works in the invariant block of vec indices reachable
-from the populations (:func:`spindiode.liouville.reachable`), replaces
-its first row with the trace functional and solves L' x = e_0; its
-residual against the full L is checked, so accidentally hitting a
-degenerate point (delta = 0) fails loudly instead of returning an
-arbitrary mixture.
+from the populations (:func:`spindiode.liouville.reachable`), in the real
+Hermitian coordinates of :meth:`Liouvillian.restrict` (L maps Hermitian
+matrices to Hermitian ones, so there it is a real map), replaces its first
+row with the trace functional and solves L' x = e_0; its residual against
+the full L is checked, so accidentally hitting a degenerate point
+(delta = 0) fails loudly instead of returning an arbitrary mixture.
 """
 
 from __future__ import annotations
@@ -139,7 +140,10 @@ def steady_states(
     shift-inverted) or ``auto``.  The raw null vectors are remixed into
     an orthonormal Hermitian basis before states are extracted, so the
     output does not depend on the arbitrary combinations the eigensolver
-    happens to return.
+    happens to return.  The dense route diagonalizes the real Hermitian
+    coordinates of the whole space (:meth:`Liouvillian.restrict`); Arnoldi
+    stays complex, as there those coordinates pair each sector with its
+    transpose, which doubles the LU fill and slows ARPACK.
     """
     scale = _spectral_scale(L)
     if null_tol is None:
@@ -149,10 +153,11 @@ def steady_states(
 
     full_spectrum = None
     if method == "dense":
-        w, vr = la.eig(L.dense())
+        R, Q = L.restrict(np.arange(L.dim))
+        w, vr = la.eig(R.toarray())
         full_spectrum = w[np.argsort(-w.real)]
         null_idx = np.flatnonzero(np.abs(w) < null_tol)
-        null_vecs = [vr[:, i] for i in null_idx]
+        null_vecs = [Q @ vr[:, i] for i in null_idx]
     elif method == "arnoldi":
         kk = min(k, L.dim - 2)
         w, vr = _eigs_near_zero(L.matrix, kk, scale, v0=np.ones(L.dim))
@@ -246,9 +251,10 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
 
     A unique steady state is the long-time limit of the maximally mixed
     state, so only the block :func:`reachable` from the populations is
-    factored (924 of 4096 vec indices for the six-spin diode).  The one
-    thing the block cannot see is a steady coherence outside it, which
-    can only exist beside a second steady state, on a degenerate L.
+    factored (924 of 4096 vec indices for the six-spin diode), in real
+    arithmetic, in the Hermitian coordinates of :meth:`Liouvillian.restrict`.
+    The one thing the block cannot see is a steady coherence outside it,
+    which can only exist beside a second steady state, on a degenerate L.
 
     Much faster than eigendecomposition but assumes the null space is
     one-dimensional.  A degenerate L (e.g. delta = 0) raises instead of
@@ -266,31 +272,35 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     diagonal = np.arange(0, L.dim, L.hilbert_dim + 1)
     idx = reachable(L, diagonal)
     n = idx.size
-    block = L.matrix[idx][:, idx]
-    # idx[0] = 0 is the first population: its row becomes the trace row
-    trace_row = sp.csr_matrix(np.isin(idx, diagonal)[None, :].astype(complex))
-    A = sp.vstack([trace_row, block[1:]], format="csc")
-    b = np.zeros(n, dtype=complex)
-    b[0] = 1.0
-    lu = spla.splu(A)
+    try:
+        R, Q = L.restrict(idx)
+    except ValueError as exc:  # L does not preserve Hermiticity
+        raise RuntimeError(f"population block: {exc}") from None
+    # idx[0] = 0 is the first population: row 0 of R becomes the trace row
+    pop, h = np.flatnonzero(idx % (L.hilbert_dim + 1) == 0), R.indptr[1]
+    A = sp.csr_matrix((np.r_[np.ones(pop.size), R.data[h:]], np.r_[pop, R.indices[h:]],
+                       np.r_[0, R.indptr[1:] - h + pop.size]), shape=(n, n)).tocsc()
+    b = np.r_[1.0, np.zeros(n - 1)]
+    # symmetric mode (A's pattern is nearly symmetric): less fill than COLAMD
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
     x = lu.solve(b)
     x += lu.solve(b - A @ x)  # one step of iterative refinement
 
     scale = max(spla.norm(L.matrix, "fro"), 1.0)
     rng = np.random.default_rng(0x5D10DE)
-    probe = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    probe = rng.standard_normal(n)
     probe /= np.linalg.norm(probe)
-    # measured gains, invariant under uniform rescaling: < 4e5 at generic
-    # unique points, 2e7 at delta = 1e-3, ~2e16 on a degenerate manifold,
-    # but also up to 4e14 at strongly rectifying thermal points whose
-    # blocked channel relaxes at ~1e-13 of the spectral scale
+    # measured gains of this real probe, invariant under uniform rescaling:
+    # < 5e5 at generic unique points, 8e7 at delta = 1e-3, 2e17 to 3e17 on a
+    # degenerate manifold, but also up to 8e14 at strongly rectifying thermal
+    # points (h >= 7.5) whose blocked channel relaxes at ~1e-14 of the scale
     gain = float(np.linalg.norm(lu.solve(probe))) * scale
     if gain > 1e10:
         sscale = _spectral_scale(L)
-        w = _eigs_near_zero(block, min(4, n - 2), sscale, v0=np.ones(n), return_eigenvectors=False)
+        w = _eigs_near_zero(R, min(4, n - 2), sscale, v0=np.ones(n), return_eigenvectors=False)
         second = float(np.sort(np.abs(w))[1])
-        # a true second null vector resolves at ~1e-17 of scale, the
-        # slowest observed physical mode at ~1e-14 of scale
+        # a true second null vector resolves at ~1e-18 of scale, the
+        # slowest observed physical mode at ~1e-14 of scale (h = 10: 9.5e-15)
         if second < 1e-15 * sscale:
             raise RuntimeError(
                 f"trace-constrained system is numerically singular "
@@ -300,9 +310,8 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
             )
 
     full = np.zeros(L.dim, dtype=complex)
-    full[idx] = x
+    full[idx] = Q @ x  # exactly Hermitian, as x is real
     m = unvectorize(full)
-    m = 0.5 * (m + m.conj().T)
     m = m / np.trace(m).real
     rho = Operator(_repair_psd(m))
     residual = float(np.linalg.norm(L.matrix @ vectorize(rho)))

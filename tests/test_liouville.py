@@ -283,3 +283,20 @@ def test_propagate_validates_grid():
         propagate(L, psi, [-1.0, 0.5])
     with pytest.raises(ValueError):
         propagate(L, psi, [])
+
+
+def test_propagate_refuses_non_hermitian_state():
+    spec = ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=0.1, J34=critical_j34(5.0))
+    L = assemble_liouvillian(build_hamiltonian(spec), [DissipatorSpec(site=1, gamma=1.0, lam=0.0)])
+    rho0 = standard_initial_states(6)[2].density().matrix  # GHZ
+    skew = np.zeros_like(rho0)
+    skew[0, 5] = 1.0  # one-sided: its transpose partner (5, 0) stays empty
+    with pytest.raises(ValueError, match="Hermitian"):
+        propagate(L, Operator(rho0 + 1e-6 * skew), [0.0, 0.5])
+    # within 1e-12 of the norm the state is Hermitized, which closes its
+    # support under transposition, and the trajectory is unchanged
+    near = propagate(L, Operator(rho0 + 1e-14 * skew), [0.0, 0.5])
+    exact = propagate(L, Operator(rho0), [0.0, 0.5])
+    for a, b in zip(near, exact, strict=True):
+        assert np.array_equal(a.matrix, a.matrix.conj().T)
+        assert np.abs(a.matrix - b.matrix).max() < 1e-13

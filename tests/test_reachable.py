@@ -1,12 +1,18 @@
-"""The reachable block of a Liouvillian against the full-space oracle.
+"""The reachable block of a Liouvillian against the full-space oracles.
 
-The oracle is the same code with ``reachable`` patched to return every
+One oracle is the same code with ``reachable`` patched to return every
 vec index, so the block and full-space solves differ only in the
-subspace they factor.
+subspace they factor.  The other is a complex trace-constrained LU of
+the whole of L written here, which shares no code with the real
+Hermitian coordinates of ``Liouvillian.restrict``.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.optimize import linear_sum_assignment
 
 from spindiode import steadystate
 from spindiode.globalbath import ThermalBathSpec, assemble_global_liouvillian, evaluate_heat_diode
@@ -17,9 +23,11 @@ from spindiode.liouville import (
     assemble_liouvillian,
     decoherence_channels,
     reachable,
+    unvectorize,
 )
 from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34, critical_j34_heat
 from spindiode.observables import bias_dissipators
+from spindiode.spinops import coupling_zz, exchange_xx
 from spindiode.steadystate import steady_state_solve
 
 DIODE = ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=0.1, J34=critical_j34(5.0))
@@ -137,3 +145,72 @@ def test_dropping_one_block_index_is_caught(monkeypatch):
     monkeypatch.setattr(steadystate, "reachable", lambda L, seeds: dropped)
     with pytest.raises(RuntimeError):
         steady_state_solve(L)
+
+
+def complex_full_space_solve(L):
+    """Trace-constrained complex LU of the whole of L, one refinement step."""
+    trace_row = np.zeros((1, L.dim), dtype=complex)
+    trace_row[0, :: L.hilbert_dim + 1] = 1.0
+    A = sp.vstack([sp.csr_matrix(trace_row), L.matrix[1:]], format="csc")
+    b = np.zeros(L.dim, dtype=complex)
+    b[0] = 1.0
+    lu = spla.splu(A)
+    x = lu.solve(b)
+    x += lu.solve(b - A @ x)
+    rho = unvectorize(x)
+    return rho / np.trace(rho)
+
+
+def test_real_block_solve_matches_complex_full_space_oracle(case):
+    L, _ = case
+    rho = steady_state_solve(L).rho_ss.matrix
+    assert np.abs(rho - complex_full_space_solve(L)).max() < 1e-10
+
+
+def test_restrict_basis_is_unitary_and_keeps_the_first_population(case):
+    L, _ = case
+    idx = population_block(L)
+    R, Q = L.restrict(idx)
+    assert R.format == "csr" and R.dtype == np.float64
+    assert abs(Q.conj().T @ Q - sp.identity(idx.size)).max() < 1e-15
+    assert Q[:, 0].toarray().ravel().tolist() == [1.0] + [0.0] * (idx.size - 1)
+    # a real coordinate vector is an exactly Hermitian matrix
+    full = np.zeros(L.dim, dtype=complex)
+    full[idx] = Q @ np.random.default_rng(5).standard_normal(idx.size)
+    m = unvectorize(full)
+    assert np.array_equal(m, m.conj().T)
+
+
+def test_restricted_block_is_real(case):
+    L, _ = case
+    idx = population_block(L)
+    R, Q = L.restrict(idx)
+    block = L.matrix[idx][:, idx]
+    rotated = Q.conj().T @ block @ Q
+    bound = 1e-15 * abs(block).max()
+    assert abs(rotated.imag).max() <= bound
+    assert abs(R - rotated.real).max() <= bound
+
+
+def test_restrict_refuses_index_set_not_closed_under_transposition():
+    L = diode_spin()
+    idx = population_block(L)
+    d = L.hilbert_dim
+    coherence = np.flatnonzero(idx % d != idx // d)[0]
+    with pytest.raises(ValueError, match="transposition"):
+        L.restrict(np.delete(idx, coherence))
+
+
+def test_restricted_spectrum_matches_complex_block():
+    n = 4
+    H = exchange_xx(n, 1, 2) + exchange_xx(n, 2, 3) + exchange_xx(n, 3, 4) + 0.3 * coupling_zz(n, 1, 2)
+    L = assemble_liouvillian(
+        H, [DissipatorSpec(site=1, gamma=1.0, lam=0.5), DissipatorSpec(site=n, gamma=0.7, lam=0.0)]
+    )
+    idx = population_block(L)
+    R, _ = L.restrict(idx)
+    real = la.eigvals(R.toarray())
+    cplx = la.eigvals(L.matrix[idx][:, idx].toarray())
+    rows, cols = linear_sum_assignment(np.abs(real[:, None] - cplx[None, :]))
+    assert real.shape == cplx.shape
+    assert np.abs(real[rows] - cplx[cols]).max() < 1e-10
