@@ -2,17 +2,17 @@
 
 Density matrices are vectorized by column stacking, vec([[a, c], [b, d]])
 = (a, b, c, d), so that vec(A rho C) = (C^T kron A) vec(rho).  The master
-equation d rho / dt = -i[H, rho] + sum_n D_n[rho] then becomes a linear
-system d|rho>> / dt = L |rho>> with
+equation d rho / dt = -i[H, rho] + sum_k r_k (X_k rho X_k' - 1/2 {X_k'X_k, rho})
+then becomes a linear system d|rho>> / dt = L |rho>> with
 
-    L = -i (I kron H - H^T kron I) + sum_n D_n,
-    D(X) = rate * (conj(X) kron X - 1/2 I kron X'X - 1/2 (X'X)^T kron I),
+    L = I kron G + conj(G) kron I + sum_k r_k conj(X_k) kron X_k,
+    G = -i H - 1/2 sum_k r_k X_k'X_k,
 
-where X' is the adjoint of the jump operator X.  L is stored sparse
-(CSR); at seven sites the superoperator is 16384 x 16384 and a dense
-copy would need 4.3 GB, while fewer than 0.1% of its entries are
-nonzero.  Use :meth:`Liouvillian.dense` for small systems when an
-explicit matrix is wanted.
+where X' is the adjoint of the jump operator X and G is the d x d
+no-jump generator.  L is stored sparse (CSR); at seven sites the
+superoperator is 16384 x 16384 and a dense copy would need 4.3 GB, while
+fewer than 0.1% of its entries are nonzero.  Use :meth:`Liouvillian.dense`
+for small systems when an explicit matrix is wanted.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .spinops import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, Operator, StateVector, site_operator
+from .spinops import SIGMA_MINUS, SIGMA_Z, Operator, StateVector, site_operator
 
 __all__ = [
     "DissipatorKind",
@@ -71,8 +71,8 @@ class DissipatorSpec:
             object.__setattr__(self, "kind", DissipatorKind(self.kind))
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.site < 1:
             raise ValueError(f"site must be a positive index, got {self.site}")
 
@@ -94,42 +94,74 @@ def unvectorize(v) -> np.ndarray:
     return vec.reshape(d, d, order="F")
 
 
+def _kron(A: np.ndarray, B: np.ndarray):
+    """(rows, cols, values) of the nonzero entries of kron(A, B), for dense d x d A and B."""
+    ai, aj, bi, bj = (k.astype(np.int32) for k in (*np.nonzero(A), *np.nonzero(B)))
+    rows, cols = (ai[:, None] * len(B) + bi).ravel(), (aj[:, None] * len(B) + bj).ravel()
+    return rows, cols, (A[ai, aj][:, None] * B[bi, bj]).ravel()
+
+
+def _superop(H, jumps, dim: int) -> sp.csr_matrix:
+    """L = I kron G + conj(G) kron I + sum r conj(X) kron X of (rate, X) pairs, one CSR build.
+
+    One vector holds L's diagonal: diag(G) of both kron terms and every diagonal jump, folded.
+    """
+    G = np.zeros((dim, dim), dtype=complex) if H is None else -1j * H
+    diag, terms = np.zeros(dim * dim, dtype=complex), []
+    for r, X in jumps:
+        G -= 0.5 * r * (X.conj().T @ X)
+        rows, cols, vals = _kron(X.conj(), X)
+        if np.array_equal(rows, cols):
+            diag[rows] += r * vals
+        else:
+            terms.append((rows, cols, r * vals))
+    g, eye, kk = G.diagonal(), np.eye(dim), np.arange(dim * dim, dtype=np.int32)
+    off = G - np.diag(g)
+    terms += [(kk, kk, diag + (g.conj()[:, None] + g).ravel()), _kron(eye, off), _kron(off.conj(), eye)]
+    rows, cols, vals = (np.concatenate(t) for t in zip(*terms))
+    del terms, diag
+    out = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+    out.eliminate_zeros()
+    return out
+
+
+def _jumps(dissipators, n_sites: int):
+    """Yield (rate, X) of every jump with a nonzero rate; the one place that knows the DissipatorKinds.
+
+    A ladder applies X' at rate gamma*lam and X at gamma*(1-lam); fermions are built once per call.
+    """
+    fermions = None
+    for s in dissipators:
+        if s.site > n_sites:
+            raise ValueError(f"site {s.site} out of range for {n_sites} sites")
+        if s.kind is DissipatorKind.FERMION_LADDER:
+            from .jordanwigner import jw_fermions  # deferred: jordanwigner imports this module
+
+            fermions = jw_fermions(n_sites) if fermions is None else fermions
+            X = fermions[s.site - 1].matrix
+        else:
+            local = SIGMA_Z if s.kind is DissipatorKind.DEPHASE_T2 else SIGMA_MINUS
+            X = site_operator(n_sites, s.site, local).matrix
+        ladder = s.kind in (DissipatorKind.SPIN_LADDER, DissipatorKind.FERMION_LADDER)
+        pairs = [(s.gamma * s.lam, X.conj().T), (s.gamma * (1.0 - s.lam), X)] if ladder else [(s.gamma, X)]
+        yield from ((r, X) for r, X in pairs if r != 0.0)
+
+
 def jump_superop(L, rate: float = 1.0) -> sp.csr_matrix:
     """Vectorized dissipator rate*(L.L' - 1/2 {L'L, .}) for jump operator L."""
-    Lm = sp.csr_matrix(L.matrix if isinstance(L, Operator) else np.asarray(L, dtype=complex))
-    eye = sp.identity(Lm.shape[0], dtype=complex, format="csr")
-    LdL = (Lm.conj().T @ Lm).tocsr()
-    out = sp.kron(Lm.conj(), Lm, format="csr") - 0.5 * sp.kron(eye, LdL, format="csr")
-    out = out - 0.5 * sp.kron(LdL.T, eye, format="csr")
-    return (rate * out).tocsr()
+    X = L.matrix if isinstance(L, Operator) else np.asarray(L, dtype=complex)
+    return _superop(None, [(rate, X)], len(X))
 
 
 def hamiltonian_superop(H) -> sp.csr_matrix:
     """The coherent part -i(I kron H - H^T kron I)."""
-    Hm = sp.csr_matrix(H.matrix if isinstance(H, Operator) else np.asarray(H, dtype=complex))
-    eye = sp.identity(Hm.shape[0], dtype=complex, format="csr")
-    return (-1j * (sp.kron(eye, Hm, format="csr") - sp.kron(Hm.T, eye, format="csr"))).tocsr()
+    Hm = H.matrix if isinstance(H, Operator) else np.asarray(H, dtype=complex)
+    return _superop(Hm, (), len(Hm))
 
 
 def local_dissipator_superop(spec: DissipatorSpec, n_sites: int) -> sp.csr_matrix:
     """Superoperator matrix of one local bath channel on an n-spin register."""
-    if spec.site > n_sites:
-        raise ValueError(f"site {spec.site} out of range for {n_sites} sites")
-    kind, site, gamma = spec.kind, spec.site, spec.gamma
-    if kind is DissipatorKind.DECAY_T1:
-        return jump_superop(site_operator(n_sites, site, SIGMA_MINUS), gamma)
-    if kind is DissipatorKind.DEPHASE_T2:
-        return jump_superop(site_operator(n_sites, site, SIGMA_Z), gamma)
-    if kind is DissipatorKind.SPIN_LADDER:
-        up, dn = site_operator(n_sites, site, SIGMA_PLUS), site_operator(n_sites, site, SIGMA_MINUS)
-    elif kind is DissipatorKind.FERMION_LADDER:
-        from .jordanwigner import jw_fermions  # deferred: jordanwigner imports this module
-
-        dn = jw_fermions(n_sites)[site - 1]
-        up = dn.dag()
-    else:
-        raise ValueError(f"unknown dissipator kind {kind!r}")
-    return (jump_superop(up, gamma * spec.lam) + jump_superop(dn, gamma * (1.0 - spec.lam))).tocsr()
+    return _superop(None, _jumps([spec], n_sites), 2**n_sites)
 
 
 class Liouvillian:
@@ -189,23 +221,16 @@ class Liouvillian:
 def assemble_liouvillian(H, dissipators) -> Liouvillian:
     """Build L = -i[H, .] + sum of local dissipator channels.
 
-    ``H`` may be None for purely dissipative evolution.  All dissipator
-    sites must fit the Hamiltonian register.
+    ``H`` may be None for purely dissipative evolution; otherwise it must
+    be square with a power-of-two dimension.  All dissipator sites must
+    fit the Hamiltonian register.
     """
     dissipators = tuple(dissipators)
     if H is None and not dissipators:
         raise ValueError("need a Hamiltonian or at least one dissipator")
-    if H is not None:
-        Hm = H.matrix if isinstance(H, Operator) else np.asarray(H, dtype=complex)
-        dim = Hm.shape[0]
-        total = hamiltonian_superop(Hm)
-    else:
-        dim = 2 ** max(d.site for d in dissipators)
-        total = sp.csr_matrix((dim * dim, dim * dim), dtype=complex)
-    n_sites = dim.bit_length() - 1
-    for d in dissipators:
-        total = total + local_dissipator_superop(d, n_sites)
-    return Liouvillian(total.tocsr(), source=(H, dissipators))
+    Hm = None if H is None else (H if isinstance(H, Operator) else Operator(H)).matrix
+    dim = 2 ** max(d.site for d in dissipators) if H is None else Hm.shape[0]
+    return Liouvillian(_superop(Hm, _jumps(dissipators, dim.bit_length() - 1), dim), source=(H, dissipators))
 
 
 def decoherence_channels(n_sites: int, T: float) -> list[DissipatorSpec]:
@@ -214,7 +239,7 @@ def decoherence_channels(n_sites: int, T: float) -> list[DissipatorSpec]:
     Models equal lifetimes T = T1 = T2 on every site; append the result
     to the boundary-drive dissipators before assembly.
     """
-    if T <= 0:
+    if not T > 0:
         raise ValueError(f"lifetime T must be positive, got {T}")
     rates = ((1.0 / T, DissipatorKind.DECAY_T1), (1.0 / (4.0 * T), DissipatorKind.DEPHASE_T2))
     return [DissipatorSpec(site=site, gamma=g, kind=k) for site in range(1, n_sites + 1) for g, k in rates]

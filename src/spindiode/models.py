@@ -16,7 +16,8 @@ either end, add perturbations, or attach a driven shadow qubit to spin 3.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields as dc_fields
+import math
+from dataclasses import dataclass, fields as dc_fields, replace as dc_replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -87,6 +88,7 @@ _ACTIVE = {
     # chain can serve as reference for both the spin and the heat diode.
     Variant.LINEAR_REFERENCE: {"Delta", "h", "omega_global", "delta", "J34"},
 }
+_KNOBS = set().union(*_ACTIVE.values())
 
 
 class Term(NamedTuple):
@@ -106,7 +108,8 @@ class Term(NamedTuple):
 class ModelSpec:
     """Declarative description of one Hamiltonian variant.
 
-    All energies are in units of J.  ``local_fields``, when given, adds
+    All energies are in units of J, so ``J`` itself must be 1.0; every
+    numeric field must be finite.  ``local_fields``, when given, adds
     sum_i local_fields[i-1] * sigma_z^(i) on top of any variant; it must
     have one entry per site.  For ShadowCorrected, ``omega_drive=None``
     resolves to Delta + 1.2 (the empirically best drive detuning) and the
@@ -141,26 +144,19 @@ class ModelSpec:
         return _N_SITES[self.variant]
 
     def validate(self) -> None:
-        if self.J <= 0:
-            raise ValueError(f"J must be positive, got {self.J}")
+        if self.J != 1.0:
+            raise ValueError(f"J is the unit of energy and must be 1.0, got {self.J}")
         active = _ACTIVE[self.variant]
-        for name in ("Delta", "h", "omega_global", "h3", "h4", "delta_prime"):
-            if name not in active and getattr(self, name) != 0.0:
-                raise ValueError(
-                    f"{self.variant.value} does not take {name} "
-                    f"(got {name}={getattr(self, name)})"
-                )
-        # shadow-qubit knobs have nonzero defaults, so compare against those
-        for name, default in (("A", 0.1), ("omega_drive", None), ("gamma_S", 1.0)):
-            if name not in active and getattr(self, name) != default:
-                raise ValueError(
-                    f"{self.variant.value} does not take {name} "
-                    f"(got {name}={getattr(self, name)})"
-                )
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if f.name != "variant" and value is not None and not all(map(math.isfinite, items)):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            # a knob the variant does not take must keep its default (nonzero for the shadow qubit)
+            if f.name in _KNOBS and f.name not in active and value != f.default:
+                raise ValueError(f"{self.variant.value} does not take {f.name} (got {f.name}={value})")
         if self.local_fields is not None and len(self.local_fields) != self.n_sites:
-            raise ValueError(
-                f"local_fields needs {self.n_sites} entries, got {len(self.local_fields)}"
-            )
+            raise ValueError(f"local_fields needs {self.n_sites} entries, got {len(self.local_fields)}")
 
     def resolved_omega_drive(self) -> float:
         if self.variant is not Variant.SHADOW_CORRECTED:
@@ -170,15 +166,11 @@ class ModelSpec:
         return self.omega_drive
 
     def replace(self, **kwargs) -> "ModelSpec":
-        current = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        current.update(kwargs)
-        return ModelSpec(**current)
+        return dc_replace(self, **kwargs)
 
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in dc_fields(self)}
         doc["variant"] = self.variant.value
-        if doc["local_fields"] is not None:
-            doc["local_fields"] = list(doc["local_fields"])
         return json.dumps(doc)
 
     @classmethod
@@ -281,16 +273,9 @@ def _assemble(n_sites: int, terms: list[Term]) -> np.ndarray:
         elif kind == "z":
             mat += coeff * site_operator(n_sites, sites[0], SIGMA_Z).matrix
         elif kind == "raise2":
-            i, j = sites
-            pp = (
-                site_operator(n_sites, i, SIGMA_PLUS).matrix
-                @ site_operator(n_sites, j, SIGMA_PLUS).matrix
-            )
-            mm = (
-                site_operator(n_sites, i, SIGMA_MINUS).matrix
-                @ site_operator(n_sites, j, SIGMA_MINUS).matrix
-            )
-            mat += coeff * (pp + mm)
+            up = [site_operator(n_sites, s, SIGMA_PLUS).matrix for s in sites]
+            dn = [site_operator(n_sites, s, SIGMA_MINUS).matrix for s in sites]
+            mat += coeff * (up[0] @ up[1] + dn[0] @ dn[1])
         else:
             raise ValueError(f"unknown term kind {kind!r}")
     return mat
@@ -317,18 +302,14 @@ def critical_j34(Delta):
     """
     d = np.asarray(Delta, dtype=float)
     out = np.where(d < 0.0, -d + 1.3, -(d + 1.3))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def critical_j34_heat(h):
     """Closing line of the local-field (heat) variant: J34 = h + 1.3."""
     hh = np.asarray(h, dtype=float)
     out = hh + 1.3
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def restrict_to_sites(H: Operator, sites) -> Operator:

@@ -11,7 +11,7 @@ the reverse current vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,13 +58,7 @@ class BiasSetup:
         ]
 
     def swapped(self) -> "BiasSetup":
-        return BiasSetup(
-            hot_site=self.cold_site,
-            cold_site=self.hot_site,
-            gamma=self.gamma,
-            lambda_hot=self.lambda_hot,
-            lambda_cold=self.lambda_cold,
-        )
+        return replace(self, hot_site=self.cold_site, cold_site=self.hot_site)
 
 
 @dataclass

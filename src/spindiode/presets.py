@@ -7,8 +7,8 @@ parameters (delta, Delta, J34 parametrizations, bath settings) are
 fixed by the corresponding study.
 
 Runtime notes assume a single core.  The six-spin sweeps clear a few
-milliseconds to ~0.15 s per grid point; seven-spin models (the corrected
-and extended chains) cost roughly 1.5-3 s per point, so their default
+milliseconds to ~0.1 s per grid point; seven-spin models (the corrected
+and extended chains) cost roughly 1-2 s per point, so their default
 grids are deliberately coarse.
 """
 
@@ -117,7 +117,7 @@ def fig3b(points: int | None = None, workers: int = 1):
 def fig3c(points: int | None = None, workers: int = 1):
     """R vs decoherence lifetime TJ (logspace), without and with the
     shadow-qubit correction, plus the linear reference; delta = 0.1,
-    Delta = 5.  The corrected model is seven spins: ~3 s per point."""
+    Delta = 5.  The corrected model is seven spins: ~2 s per point."""
     n = points or 9
     t_axis = ("T", tuple(float(x) for x in np.logspace(2, 6, n)))
     common = dict(
@@ -207,7 +207,7 @@ def fig4d(points: int | None = None, workers: int = 1):
 def fig4e(points: int | None = None, workers: int = 1):
     """R vs Delta for decoherence lifetimes TJ in {1e3, 1e4, 1e5}, without
     (solid) and with (dashed) the shadow correction; delta = 0.1.  The
-    corrected grid is seven spins: 16 x 3 points at ~3 s each."""
+    corrected grid is seven spins: 16 x 3 points at ~2 s each."""
     n = points or 16
     lifetimes = (1e3, 1e4, 1e5)
     common = dict(

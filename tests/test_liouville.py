@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spindiode.liouville import (
@@ -16,7 +18,8 @@ from spindiode.liouville import (
     unvectorize,
     vectorize,
 )
-from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34
+from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34, restrict_to_sites
+from spindiode.observables import bias_dissipators
 from spindiode.spinops import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -136,6 +139,99 @@ def test_dissipator_spec_validation():
         DissipatorSpec(site=1, gamma=-0.5)
     with pytest.raises(ValueError):
         DissipatorSpec(site=1, gamma=1.0, lam=1.5)
+
+
+def test_dissipator_spec_rejects_non_finite_gamma():
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            DissipatorSpec(site=1, gamma=gamma)
+    with pytest.raises(ValueError, match="lifetime T"):
+        decoherence_channels(6, float("nan"))
+
+
+@pytest.mark.parametrize("H", [np.eye(3), np.ones((4, 2)), np.zeros((2, 2, 2))])
+def test_assembly_rejects_hamiltonian_of_bad_shape(H):
+    with pytest.raises(ValueError):
+        assemble_liouvillian(H, [DissipatorSpec(site=1, gamma=1.0)])
+
+
+def channel_jumps(spec: DissipatorSpec, n):
+    """(jump, rate) pairs of one channel, written out kind by kind."""
+    from spindiode.jordanwigner import jw_fermions
+
+    g, lam, site = spec.gamma, spec.lam, spec.site
+    if spec.kind is DissipatorKind.DECAY_T1:
+        return [(site_operator(n, site, SIGMA_MINUS).matrix, g)]
+    if spec.kind is DissipatorKind.DEPHASE_T2:
+        return [(site_operator(n, site, SIGMA_Z).matrix, g)]
+    if spec.kind is DissipatorKind.SPIN_LADDER:
+        return ladder_jumps(spec, n)
+    a = jw_fermions(n).a[site - 1].matrix
+    return [(a.conj().T, g * lam), (a, g * (1 - lam))]
+
+
+@st.composite
+def channel_mixes(draw):
+    """2-4 sites, H cut from a six-spin Diode chain or None, and a random channel list."""
+    n = draw(st.integers(2, 4))
+    H = None
+    if draw(st.booleans()):
+        energy = st.floats(-10.0, 10.0)
+        spec = ModelSpec(
+            variant=Variant.DIODE,
+            Delta=draw(energy),
+            delta=draw(st.floats(-0.5, 0.5)),
+            J34=draw(energy),
+            local_fields=draw(st.none() | st.tuples(*[energy] * 6)),
+        )
+        start = draw(st.integers(1, 7 - n))
+        H = restrict_to_sites(build_hamiltonian(spec), range(start, start + n))
+    channel = st.builds(
+        DissipatorSpec,
+        site=st.integers(1, n),
+        gamma=st.just(0.0) | st.floats(0.0, 3.0),
+        lam=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        kind=st.sampled_from(list(DissipatorKind)),
+    )
+    specs = draw(st.lists(channel, min_size=0 if H is not None else 1, max_size=5))
+    return H, specs, draw(st.integers(0, 2**32 - 1))
+
+
+@given(channel_mixes())
+def test_assembly_matches_brute_force_on_random_channel_mixes(mix):
+    H, specs, seed = mix
+    L = assemble_liouvillian(H, specs)
+    n = H.n_sites if H is not None else max(s.site for s in specs)
+    # reachable() reads the stored pattern, so a stored zero would grow a block
+    assert np.all(L.matrix.data != 0)
+    jumps = [jump for spec in specs for jump in channel_jumps(spec, n)]
+    rho = random_density(np.random.default_rng(seed), 2**n)
+    got = unvectorize(L.matrix @ vectorize(rho))
+    want = brute_force_rhs(None if H is None else H.matrix, jumps, rho)
+    assert np.abs(got - want).max() < 1e-12
+    # the public per-term superoperators sum to the same generator
+    parts = [local_dissipator_superop(spec, n) for spec in specs]
+    if H is not None:
+        parts.append(hamiltonian_superop(H))
+    assert np.abs(sum(parts) - L.matrix).max() < 1e-12
+
+
+def test_six_spin_diode_pattern_sizes():
+    spec = ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=0.1, J34=critical_j34(5.0))
+    H, forward = build_hamiltonian(spec), bias_dissipators(spec)[0]
+    assert assemble_liouvillian(H, forward).matrix.nnz == 35840
+    assert assemble_liouvillian(H, forward + decoherence_channels(6, 1e3)).matrix.nnz == 39936
+
+
+def test_fermions_built_once_per_assembly(monkeypatch):
+    from spindiode import jordanwigner
+
+    calls = []
+    build = jordanwigner.jw_fermions
+    monkeypatch.setattr(jordanwigner, "jw_fermions", lambda n: calls.append(n) or build(n))
+    ladders = [DissipatorSpec(site=s, gamma=1.0, lam=0.5, kind=DissipatorKind.FERMION_LADDER) for s in (1, 2, 3)]
+    assemble_liouvillian(None, ladders)
+    assert calls == [3]
 
 
 def test_local_dissipator_modes():

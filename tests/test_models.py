@@ -324,6 +324,43 @@ def test_spec_json_roundtrip():
         ModelSpec.from_json('{"variant": "Diode", "bogus": 1}')
 
 
+@pytest.mark.parametrize("J", [2.0, 0.5, float("nan")])
+def test_j_is_the_unit_and_must_be_one(J):
+    with pytest.raises(ValueError, match="J is the unit"):
+        ModelSpec(variant=Variant.DIODE, J=J)
+    # documents written with the default still load
+    doc = json.loads(ModelSpec(variant=Variant.DIODE, Delta=5.0).to_json())
+    assert doc["J"] == 1.0
+    assert ModelSpec.from_json(json.dumps(doc)).J == 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "field, variant",
+    [
+        ("Delta", Variant.DIODE),
+        ("delta", Variant.DIODE),
+        ("J34", Variant.DIODE),
+        ("h", Variant.FIELD_H1),
+        ("omega_global", Variant.HEAT_HQ),
+        ("h3", Variant.DIODE_PERTURBED),
+        ("h4", Variant.DIODE_PERTURBED),
+        ("delta_prime", Variant.DIODE_PERTURBED),
+        ("A", Variant.SHADOW_CORRECTED),
+        ("omega_drive", Variant.SHADOW_CORRECTED),
+        ("gamma_S", Variant.SHADOW_CORRECTED),
+    ],
+)
+def test_non_finite_fields_are_named(field, variant, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ModelSpec(variant=variant, **{field: bad})
+
+
+def test_non_finite_local_field_is_named():
+    with pytest.raises(ValueError, match="^local_fields must be finite"):
+        ModelSpec(variant=Variant.DIODE, local_fields=(0.0, 0.0, float("nan"), 0.0, 0.0, 0.0))
+
+
 def test_chain_ends_and_bonds():
     assert chain_ends(ModelSpec(variant=Variant.DIODE)) == (1, 6)
     assert chain_ends(ModelSpec(variant=Variant.EXTENDED_MXX)) == (1, 7)

@@ -91,6 +91,16 @@ def test_failed_points_are_recorded_not_dropped():
     assert table.column("R")[1] > 1e2
 
 
+def test_non_finite_points_land_in_the_error_column():
+    cfg = SweepConfig.from_json(
+        small_config(axes=[["Delta", [float("nan"), 5.0]], ["gamma", [float("inf"), 1.0]]], coupled={})
+    )
+    errs = run_sweep(cfg).column("error")
+    assert errs[0] == "ValueError: Delta must be finite, got nan"
+    assert errs[2].startswith("ValueError: gamma must be finite")
+    assert errs[3] == ""
+
+
 def test_worker_pool_matches_serial():
     cfg = SweepConfig.from_json(small_config())
     serial = run_sweep(cfg)
