@@ -20,7 +20,7 @@ from pathlib import Path
 from .models import ModelSpec, build_hamiltonian, current_bonds
 from .observables import bias_dissipators, magnetization_profile, solve_bias, spin_current_op
 from .presets import FIGURE_PRESETS, run_preset
-from .sweep import SweepConfig, default_workers, export, run_sweep
+from .sweep import SweepConfig, default_workers, export, positive_int, run_sweep
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -42,10 +42,10 @@ def _cmd_sweep(args) -> int:
     text = _load_text(args.config, "sweep config")
     try:
         config = SweepConfig.from_json(text)
+        if args.workers is not None:
+            config = replace(config, workers=positive_int("--workers", args.workers))
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from None
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
     table = run_sweep(config)
     export(table, args.format, args.out)
     n_failed = sum(1 for row in table.rows if row[-1])
@@ -57,9 +57,14 @@ def _cmd_figure(args) -> int:
     if args.preset not in FIGURE_PRESETS:
         known = ", ".join(sorted(FIGURE_PRESETS))
         raise ConfigError(f"unknown preset {args.preset!r}; available: {known}")
+    try:
+        workers = default_workers() if args.workers is None else positive_int("--workers", args.workers)
+        if args.points is not None:
+            positive_int("--points", args.points)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = args.workers if args.workers is not None else default_workers()
     tables = run_preset(args.preset, points=args.points, workers=workers)
     ext = args.format
     for part, table in tables.items():

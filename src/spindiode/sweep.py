@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields, replace
@@ -27,7 +28,7 @@ from . import __version__
 from .globalbath import evaluate_heat_diode
 from .jordanwigner import fermionic_current_metrics
 from .liouville import decoherence_channels
-from .models import ModelSpec, critical_j34, critical_j34_heat
+from .models import _KNOBS, ModelSpec, critical_j34, critical_j34_heat
 from .observables import concurrence, evaluate_diode, fidelity_pure
 from .spinops import bell_state, partial_trace
 
@@ -43,23 +44,6 @@ _COUPLED_FUNCS = {
     "critical_j34": critical_j34,
     "critical_j34_heat": critical_j34_heat,
 }
-
-_MODEL_FIELDS = {
-    "Delta",
-    "delta",
-    "J34",
-    "h",
-    "omega_global",
-    "h3",
-    "h4",
-    "delta_prime",
-    "A",
-    "omega_drive",
-    "gamma_S",
-}
-
-_BATH_FIELDS = {"gamma", "T", "T_C", "T_H", "dT", "secular_cutoff"}
-
 
 @dataclass(frozen=True)
 class BathConfig:
@@ -88,6 +72,9 @@ class BathConfig:
     def hot_temperature(self) -> float:
         """T_H, or T_C + dT when a temperature difference is set."""
         return self.T_C + self.dT if self.dT is not None else self.T_H
+
+
+_BATH_FIELDS = {f.name for f in dc_fields(BathConfig)} - {"mode"}
 
 
 _DIODE_OUTPUTS = ["J_f", "J_r", "R", "C", "continuity_f", "continuity_r"]
@@ -145,12 +132,11 @@ class SweepConfig:
             if name not in known:
                 raise ValueError(f"outputs.{name}: unknown metric for mode {self.bath.mode}; choose from {known}")
         object.__setattr__(self, "outputs", tuple(outputs))
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        positive_int("workers", self.workers)
 
     @staticmethod
     def _check_path(label: str, name: str) -> None:
-        if name in _MODEL_FIELDS or name in _BATH_FIELDS:
+        if name in _KNOBS or name in _BATH_FIELDS:
             return
         if name.startswith("local_field_") and name[len("local_field_") :].isdigit():
             return
@@ -193,7 +179,7 @@ class SweepConfig:
             coupled=coupled,
             bath=bath,
             outputs=tuple(doc.get("outputs", ())),
-            workers=int(doc.get("workers", 1)),
+            workers=doc.get("workers", 1),
         )
 
 
@@ -395,4 +381,11 @@ def default_workers() -> int:
         n = int(env)
     except ValueError as exc:
         raise ValueError(f"SPINDIODE_WORKERS must be an integer, got {env!r}") from exc
-    return max(1, n)
+    return positive_int("SPINDIODE_WORKERS", n)
+
+
+def positive_int(name: str, value) -> int:
+    """``value`` if it is an integer >= 1; otherwise a ValueError naming ``name``."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value

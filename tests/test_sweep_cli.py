@@ -190,7 +190,7 @@ def test_cli_sweep_roundtrip(tmp_path, capsys):
     assert out_path.read_text().startswith("Delta,delta,J34,")
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     rc = main(["sweep", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "not found" in capsys.readouterr().err
@@ -210,6 +210,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     rc = main(["figure", "nosuchfigure", "--out", str(tmp_path)])
     assert rc == 2
     assert "unknown preset" in capsys.readouterr().err
+
+    # bad counts are config errors, caught before any output is written
+    fig_dir = tmp_path / "fig"
+    for flags in (["--points", "0"], ["--points", "-2"], ["--workers", "0"]):
+        rc = main(["figure", "fig2c", "--out", str(fig_dir), *flags])
+        assert rc == 2
+        assert "positive integer" in capsys.readouterr().err
+    rc = main(["sweep", "--config", str(all_fail), "--out", str(tmp_path / "o.csv"), "--workers", "0"])
+    assert rc == 2
+    assert "positive integer" in capsys.readouterr().err
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(small_config(workers=2.5))
+    rc = main(["sweep", "--config", str(fractional), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "positive integer" in capsys.readouterr().err
+    for env in ("-4", "zero"):
+        monkeypatch.setenv("SPINDIODE_WORKERS", env)
+        rc = main(["figure", "fig2c", "--out", str(fig_dir)])
+        assert rc == 2
+        assert "SPINDIODE_WORKERS" in capsys.readouterr().err
+    assert not fig_dir.exists()
 
 
 def test_cli_steady_json(tmp_path, capsys):
@@ -253,3 +274,7 @@ def test_default_workers_env(monkeypatch):
     monkeypatch.setenv("SPINDIODE_WORKERS", "zero")
     with pytest.raises(ValueError):
         default_workers()
+    for env in ("0", "-4"):
+        monkeypatch.setenv("SPINDIODE_WORKERS", env)
+        with pytest.raises(ValueError, match="positive integer"):
+            default_workers()
