@@ -5,8 +5,9 @@ spindiode figure <preset> --out <dir> [--points N] [--format csv|json]
 spindiode steady --model model.json --bias forward|reverse
 
 Exit codes: 0 on success, 2 for configuration or validation problems,
-1 for runtime failures (solver breakdowns, numerical aborts).  The
-worker count falls back to the SPINDIODE_WORKERS environment variable.
+1 for runtime failures (solver breakdowns, numerical aborts).  ``sweep``
+takes its worker count from --workers or the config's ``workers``;
+only ``figure`` falls back to the SPINDIODE_WORKERS environment variable.
 """
 
 from __future__ import annotations

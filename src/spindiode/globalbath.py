@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from .liouville import Liouvillian, unvectorize, vectorize
 from .models import ModelSpec, Variant, build_hamiltonian, chain_ends
-from .spinops import SIGMA_X, Operator, site_operator
+from .spinops import SIGMA_X, Operator, _as_matrix, site_operator
 from .steadystate import steady_state_solve
 
 __all__ = [
@@ -102,13 +102,9 @@ def _cluster(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return labels, means
 
 
-def _matrix(X) -> np.ndarray:
-    return X.matrix if isinstance(X, Operator) else np.asarray(X, dtype=complex)
-
-
 def _eigensystem(H) -> tuple[np.ndarray, np.ndarray]:
     """(eps, U) of a Hermitian H."""
-    Hm = _matrix(H)
+    Hm = _as_matrix(H)
     if np.max(np.abs(Hm - Hm.conj().T)) > 1e-10:
         raise ValueError("H must be Hermitian")
     return np.linalg.eigh(Hm)
@@ -125,7 +121,7 @@ class _EigenBlocks:
     """
 
     def __init__(self, eigensystem, coupling):
-        Cm = _matrix(coupling)
+        Cm = _as_matrix(coupling)
         if np.max(np.abs(Cm - Cm.conj().T)) > 1e-10:
             raise ValueError("coupling must be Hermitian")
         eps, U = eigensystem
@@ -176,7 +172,7 @@ class GlobalDissipator:
 
     def apply(self, rho) -> np.ndarray:
         """D[rho] in the computational basis."""
-        rho_e = self.U.conj().T @ _matrix(rho) @ self.U
+        rho_e = self.U.conj().T @ _as_matrix(rho) @ self.U
         out_e = unvectorize(self.matrix_energy @ vectorize(rho_e))
         return self.U @ out_e @ self.U.conj().T
 
@@ -254,7 +250,7 @@ def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, list[GlobalDissi
     total = sp.diags(phase.ravel(order="F"), format="csr")
     for dis in dissipators:
         total = total + dis.matrix_energy
-    return Liouvillian(total.tocsr(), source=(H, tuple(baths))), dissipators
+    return Liouvillian(total.tocsr()), dissipators
 
 
 def heat_current(H, dissipator: GlobalDissipator, rho_ss) -> float:
@@ -264,7 +260,7 @@ def heat_current(H, dissipator: GlobalDissipator, rho_ss) -> float:
     state the currents of the baths balance, K_1 = -K_n, so either one
     determines the transported heat.
     """
-    return float(np.trace(_matrix(H) @ dissipator.apply(rho_ss)).real)
+    return float(np.trace(_as_matrix(H) @ dissipator.apply(rho_ss)).real)
 
 
 @dataclass

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .spinops import SIGMA_MINUS, SIGMA_Z, Operator, StateVector, site_operator
+from .spinops import SIGMA_MINUS, SIGMA_Z, Operator, StateVector, _as_matrix, site_operator
 
 __all__ = [
     "DissipatorKind",
@@ -79,7 +79,7 @@ class DissipatorSpec:
 
 def vectorize(rho) -> np.ndarray:
     """Column-stack a square matrix into a vector."""
-    m = rho.matrix if isinstance(rho, Operator) else np.asarray(rho, dtype=complex)
+    m = _as_matrix(rho)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"vectorize expects a square matrix, got shape {m.shape}")
     return m.reshape(-1, order="F")
@@ -149,13 +149,13 @@ def _jumps(dissipators, n_sites: int):
 
 def jump_superop(L, rate: float = 1.0) -> sp.csr_matrix:
     """Vectorized dissipator rate*(L.L' - 1/2 {L'L, .}) for jump operator L."""
-    X = L.matrix if isinstance(L, Operator) else np.asarray(L, dtype=complex)
+    X = _as_matrix(L)
     return _superop(None, [(rate, X)], len(X))
 
 
 def hamiltonian_superop(H) -> sp.csr_matrix:
     """The coherent part -i(I kron H - H^T kron I)."""
-    Hm = H.matrix if isinstance(H, Operator) else np.asarray(H, dtype=complex)
+    Hm = _as_matrix(H)
     return _superop(Hm, (), len(Hm))
 
 
@@ -165,11 +165,11 @@ def local_dissipator_superop(spec: DissipatorSpec, n_sites: int) -> sp.csr_matri
 
 
 class Liouvillian:
-    """A sparse master-equation generator together with its provenance."""
+    """A sparse master-equation generator."""
 
-    __slots__ = ("matrix", "dim", "hilbert_dim", "source")
+    __slots__ = ("matrix", "dim", "hilbert_dim")
 
-    def __init__(self, matrix: sp.spmatrix, source=None):
+    def __init__(self, matrix: sp.spmatrix):
         m = sp.csr_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("Liouvillian must be square")
@@ -178,7 +178,6 @@ class Liouvillian:
         self.hilbert_dim = int(round(np.sqrt(self.dim)))
         if self.hilbert_dim**2 != self.dim:
             raise ValueError(f"superoperator dimension {self.dim} is not a perfect square")
-        self.source = source
 
     @property
     def n_sites(self) -> int:
@@ -230,7 +229,7 @@ def assemble_liouvillian(H, dissipators) -> Liouvillian:
         raise ValueError("need a Hamiltonian or at least one dissipator")
     Hm = None if H is None else (H if isinstance(H, Operator) else Operator(H)).matrix
     dim = 2 ** max(d.site for d in dissipators) if H is None else Hm.shape[0]
-    return Liouvillian(_superop(Hm, _jumps(dissipators, dim.bit_length() - 1), dim), source=(H, dissipators))
+    return Liouvillian(_superop(Hm, _jumps(dissipators, dim.bit_length() - 1), dim))
 
 
 def decoherence_channels(n_sites: int, T: float) -> list[DissipatorSpec]:
@@ -248,7 +247,7 @@ def decoherence_channels(n_sites: int, T: float) -> list[DissipatorSpec]:
 def _as_density_vec(rho0) -> np.ndarray:
     if isinstance(rho0, StateVector):
         rho0 = rho0.density()
-    m = rho0.matrix if isinstance(rho0, Operator) else np.asarray(rho0, dtype=complex)
+    m = _as_matrix(rho0)
     if abs(np.trace(m) - 1.0) > 1e-10:
         raise ValueError("initial state must have unit trace")
     if np.linalg.norm(m - m.conj().T) > 1e-12 * np.linalg.norm(m):
@@ -285,7 +284,9 @@ def propagate(L: Liouvillian, rho0, times) -> list[Operator]:
     evolved, in the real coordinates of :meth:`Liouvillian.restrict`.
     Each run of equal steps is one real ``expm_multiply`` call (a
     non-uniform grid is runs of length one), which never forms the dense
-    exponential and estimates the operator norms once per run.
+    exponential and estimates the operator norms once per run.  The norm
+    estimates run on a fixed seed of numpy's global RNG, whose state is
+    restored afterwards, so equal inputs give bit-identical trajectories.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -305,7 +306,14 @@ def propagate(L: Liouvillian, rho0, times) -> list[Operator]:
             states = [u] * run.size
         else:
             span = ts[run[-1]] - starts[run[0]]
-            states = spla.expm_multiply(R, u, start=0.0, stop=span, num=run.size + 1, endpoint=True)[1:]
+            # expm_multiply's norm estimates draw probe vectors from numpy's
+            # global RNG: seed it for this call only, so trajectories repeat
+            rng_state = np.random.get_state()
+            np.random.seed(0x5D10DE)
+            try:
+                states = spla.expm_multiply(R, u, start=0.0, stop=span, num=run.size + 1, endpoint=True)[1:]
+            finally:
+                np.random.set_state(rng_state)
         for t, state in zip(ts[run], states):
             if not np.all(np.isfinite(state)):
                 raise FloatingPointError(f"non-finite state encountered at t = {t}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .liouville import DissipatorKind, DissipatorSpec, assemble_liouvillian
 from .models import ModelSpec, Variant, build_hamiltonian, chain_ends, current_bonds
-from .spinops import SIGMA_X, SIGMA_Y, SIGMA_Z, Operator, StateVector, site_operator
+from .spinops import SIGMA_X, SIGMA_Y, SIGMA_Z, Operator, StateVector, _as_matrix, site_operator
 from .steadystate import SteadyStateResult, steady_state_solve
 
 __all__ = [
@@ -109,7 +109,7 @@ def contrast(J_f: float, J_r: float) -> float:
 
 def magnetization_profile(rho) -> np.ndarray:
     """<sigma_z^(n)> for every site, as a real vector."""
-    m = rho.matrix if isinstance(rho, Operator) else np.asarray(rho, dtype=complex)
+    m = _as_matrix(rho)
     n = int(m.shape[0]).bit_length() - 1
     if 2**n != m.shape[0]:
         raise ValueError("density matrix dimension is not a power of two")
@@ -121,7 +121,7 @@ def magnetization_profile(rho) -> np.ndarray:
 
 def fidelity_pure(rho, psi: StateVector) -> float:
     """Overlap <psi| rho |psi>."""
-    m = rho.matrix if isinstance(rho, Operator) else np.asarray(rho, dtype=complex)
+    m = _as_matrix(rho)
     v = psi.amplitudes
     return float(np.real(v.conj() @ m @ v))
 
@@ -136,8 +136,8 @@ def _psd_sqrt(m: np.ndarray, what: str) -> np.ndarray:
 
 def fidelity_mixed(rho, sigma) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(s) r sqrt(s)))^2, symmetric in r, s."""
-    r = rho.matrix if isinstance(rho, Operator) else np.asarray(rho, dtype=complex)
-    s = sigma.matrix if isinstance(sigma, Operator) else np.asarray(sigma, dtype=complex)
+    r = _as_matrix(rho)
+    s = _as_matrix(sigma)
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
     rs = _psd_sqrt(s, "sigma")
@@ -155,7 +155,7 @@ def concurrence(rho) -> float:
     rho (sy kron sy) rho* (sy kron sy), in decreasing order; the
     concurrence is max(0, l1 - l2 - l3 - l4).
     """
-    m = rho.matrix if isinstance(rho, Operator) else np.asarray(rho, dtype=complex)
+    m = _as_matrix(rho)
     if m.shape != (4, 4):
         raise ValueError(f"concurrence needs a 4x4 two-spin state, got {m.shape}")
     yy = np.kron(SIGMA_Y, SIGMA_Y)
@@ -166,7 +166,7 @@ def concurrence(rho) -> float:
 
 def bond_current(rho, n_sites: int, bond: tuple[int, int]) -> float:
     op = spin_current_op(n_sites, *bond)
-    m = rho.matrix if isinstance(rho, Operator) else np.asarray(rho, dtype=complex)
+    m = _as_matrix(rho)
     return float(np.trace(op.matrix @ m).real)
 
 

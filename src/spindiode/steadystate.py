@@ -1,14 +1,16 @@
 """Steady states, Liouvillian spectra and convergence diagnostics.
 
-Steady states are null vectors of the Liouvillian.  Three routes are
+Steady states are null vectors of the Liouvillian.  Two routes are
 provided, trading generality for speed:
 
-* a full dense eigendecomposition (exact degeneracy structure, fine up
-  to five spins where the superoperator is 1024 x 1024),
 * a shift-inverted Arnoldi solve for the handful of eigenvalues nearest
-  zero (degeneracy counting for six and seven spins),
-* a trace-constrained sparse linear solve (fastest; valid only when the
-  steady state is unique, which it is for delta != 0).
+  zero (:func:`steady_states`: degeneracy counting at every size),
+* a trace-constrained sparse linear solve (:func:`steady_state_solve`:
+  fastest; valid only when the steady state is unique, which it is for
+  delta != 0).
+
+:func:`spectrum` returns every eigenvalue, from the dense spectra of the
+strongly connected blocks of L.
 
 The linear solve works in the invariant block of vec indices reachable
 from the populations (:func:`spindiode.liouville.reachable`), in the real
@@ -41,9 +43,10 @@ __all__ = [
     "convergence_fidelity",
 ]
 
-# dense eigendecomposition above this superoperator dimension is minutes
-# of work; switch to shift-inverted Arnoldi there
-_DENSE_EIG_MAX_DIM = 1024
+# a null eigenvalue has |lambda| below this fraction of the spectral scale
+_NULL_RTOL = 1e-9
+# eigenvalues nearest zero that ARPACK computes (at most dim - 2)
+_N_EIGS = 8
 
 
 @dataclass
@@ -53,8 +56,7 @@ class SteadyStateResult:
     ``rho_ss`` is the (Hermitized, trace-normalized, positivity-checked)
     steady state; with ``degeneracy > 1`` it is the full-support mixture
     (Frobenius projection of the identity onto the fixed space) and
-    ``rho_all`` holds the extreme sector states instead.  ``spectrum``
-    is only populated by the dense route.
+    ``rho_all`` holds the extreme sector states instead.
     """
 
     rho_ss: Operator
@@ -63,7 +65,6 @@ class SteadyStateResult:
     null_tol: float
     method: str
     rho_all: list[Operator] = field(default_factory=list)
-    spectrum: np.ndarray | None = None
 
 
 def _spectral_scale(L: Liouvillian) -> float:
@@ -88,29 +89,17 @@ def _repair_psd(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _hermitian_null_basis(null_vecs: list[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of the span of the null vectors.
+def _orthonormal_span(mats: list[np.ndarray], tol: float) -> list[np.ndarray]:
+    """Frobenius-orthonormal basis of the real span of Hermitian matrices.
 
-    The fixed space of a Lindbladian is closed under dagger, so its real
-    Hermitian dimension equals its complex dimension; feeding both
-    M + M^dag and i(M - M^dag) through Gram-Schmidt recovers that basis
-    from whatever arbitrary complex combinations the eigensolver returns
-    (the raw basis depends on the solver's start vector and ordering).
+    One SVD over the reals (real and imaginary parts stacked, so the inner
+    product is Re tr(a^dag b)); directions with singular value <= ``tol``
+    are dropped as rank noise.
     """
-    basis: list[np.ndarray] = []
-    for vec in null_vecs:
-        m = unvectorize(vec / np.linalg.norm(vec))
-        for cand in (m + m.conj().T, 1j * (m - m.conj().T)):
-            n0 = np.linalg.norm(cand)
-            if n0 < 1e-6:
-                continue
-            cand = cand / n0
-            for b in basis:
-                cand = cand - np.vdot(b, cand).real * b
-            n = np.linalg.norm(cand)
-            if n > 1e-6:
-                basis.append(cand / n)
-    return basis
+    X = np.array([m.ravel() for m in mats])
+    _, s, vt = np.linalg.svd(np.hstack([X.real, X.imag]), full_matrices=False)
+    n = X.shape[1]
+    return [(v[:n] + 1j * v[n:]).reshape(mats[0].shape) for v in vt[s > tol]]
 
 
 def _eigs_near_zero(M: sp.spmatrix, k: int, scale: float, **kwargs):
@@ -126,58 +115,40 @@ def _eigs_near_zero(M: sp.spmatrix, k: int, scale: float, **kwargs):
         return spla.eigs(M.tocsc(), k=k, sigma=-1e-6 * max(scale, 1.0), which="LM", **kwargs)
 
 
-def steady_states(
-    L: Liouvillian,
-    null_tol: float | None = None,
-    method: str = "auto",
-    k: int = 8,
-) -> SteadyStateResult:
+def steady_states(L: Liouvillian, method: str = "arnoldi") -> SteadyStateResult:
     """Steady state(s) of L via its eigenvalues nearest zero.
 
-    ``null_tol`` defaults to 1e-9 times the infinity norm of L (a cheap
-    upper bound on the largest eigenvalue magnitude).  ``method`` is
-    ``dense`` (full spectrum), ``arnoldi`` (k eigenvalues nearest zero,
-    shift-inverted) or ``auto``.  The raw null vectors are remixed into
-    an orthonormal Hermitian basis before states are extracted, so the
-    output does not depend on the arbitrary combinations the eigensolver
-    happens to return.  The dense route diagonalizes the real Hermitian
-    coordinates of the whole space (:meth:`Liouvillian.restrict`); Arnoldi
-    stays complex, as there those coordinates pair each sector with its
-    transpose, which doubles the LU fill and slows ARPACK.
+    A shift-inverted Arnoldi solve on the full (complex) L finds the 8
+    eigenvalues nearest zero (at most dim - 2); those below 1e-9 times the
+    infinity norm of L (a cheap upper bound on the largest eigenvalue
+    magnitude) are null.  ``method`` accepts only ``"arnoldi"``.  The
+    fixed space of a Lindbladian is closed under dagger, so the Hermitian
+    parts M + M^dag and i(M - M^dag) of the raw null vectors span it over
+    the reals; they are remixed into an orthonormal Hermitian basis before
+    states are extracted, so the output does not depend on the arbitrary
+    combinations the eigensolver happens to return.  Arnoldi stays complex,
+    as the real Hermitian coordinates of the whole space pair each sector
+    with its transpose, which doubles the LU fill and slows ARPACK.
     """
-    scale = _spectral_scale(L)
-    if null_tol is None:
-        null_tol = 1e-9 * max(scale, 1.0)
-    if method == "auto":
-        method = "dense" if L.dim <= _DENSE_EIG_MAX_DIM else "arnoldi"
-
-    full_spectrum = None
-    if method == "dense":
-        R, Q = L.restrict(np.arange(L.dim))
-        w, vr = la.eig(R.toarray())
-        full_spectrum = w[np.argsort(-w.real)]
-        null_idx = np.flatnonzero(np.abs(w) < null_tol)
-        null_vecs = [Q @ vr[:, i] for i in null_idx]
-    elif method == "arnoldi":
-        kk = min(k, L.dim - 2)
-        w, vr = _eigs_near_zero(L.matrix, kk, scale, v0=np.ones(L.dim))
-        null_idx = np.flatnonzero(np.abs(w) < null_tol)
-        if len(null_idx) == kk:
-            warnings.warn(
-                f"all {kk} computed eigenvalues lie below null_tol; "
-                "degeneracy may be undercounted, increase k",
-                stacklevel=2,
-            )
-        null_vecs = [vr[:, i] for i in null_idx]
-    else:
+    if method != "arnoldi":
         raise ValueError(f"unknown method {method!r}")
-
-    if not null_vecs:
+    scale = _spectral_scale(L)
+    null_tol = _NULL_RTOL * max(scale, 1.0)
+    k = min(_N_EIGS, L.dim - 2)
+    w, vr = _eigs_near_zero(L.matrix, k, scale, v0=np.ones(L.dim))
+    null_idx = np.flatnonzero(np.abs(w) < null_tol)
+    if len(null_idx) == k:
+        warnings.warn(
+            f"all {k} computed eigenvalues lie below null_tol; degeneracy may be undercounted",
+            stacklevel=2,
+        )
+    if not null_idx.size:
         raise RuntimeError(
             f"no eigenvalue below null_tol = {null_tol:.3e}; L has no resolved steady state"
         )
 
-    basis = _hermitian_null_basis(null_vecs)
+    ms = [unvectorize(vr[:, i] / np.linalg.norm(vr[:, i])) for i in null_idx]
+    basis = _orthonormal_span([c for m in ms for c in (m + m.conj().T, 1j * (m - m.conj().T))], 1e-6)
     degeneracy = len(basis)
     traces = np.array([np.trace(b).real for b in basis])
     tnorm = float(np.linalg.norm(traces))
@@ -188,9 +159,8 @@ def steady_states(
     # Frobenius projection of the identity onto the fixed space: the
     # natural full-support mixture (a positive combination of the sector
     # states, so PSD up to eigensolver noise)
-    mix = sum(t * b for t, b in zip(traces, basis))
-    mix = mix / np.trace(mix).real
-    rho_ss = Operator(_repair_psd(mix))
+    proj = sum(t * b for t, b in zip(traces, basis))
+    rho_ss = Operator(_repair_psd(proj / np.trace(proj).real))
 
     states = [rho_ss]
     if degeneracy > 1:
@@ -200,17 +170,7 @@ def steady_states(
         # beyond two sectors the same split is applied pairwise and is
         # only a heuristic enumeration
         states = []
-        unit = traces / tnorm
-        traceless = []
-        for b, t in zip(basis, traces):
-            tl = b - (t / tnorm) * sum(u * bb for u, bb in zip(unit, basis))
-            n = np.linalg.norm(tl)
-            if n > 1e-8:
-                for prev in traceless:
-                    tl = tl - np.vdot(prev, tl).real * prev
-                n = np.linalg.norm(tl)
-            if n > 1e-8:
-                traceless.append(tl / n)
+        traceless = _orthonormal_span([b - (t / tnorm**2) * proj for b, t in zip(basis, traces)], 1e-8)
         res_tol = 100.0 * null_tol
         for tl in traceless:
             w, v = np.linalg.eigh(tl)
@@ -242,7 +202,6 @@ def steady_states(
         null_tol=null_tol,
         method=method,
         rho_all=states,
-        spectrum=full_spectrum,
     )
 
 
@@ -336,7 +295,7 @@ def spectrum(L: Liouvillian) -> np.ndarray:
     The strongly connected components of L's nonzero pattern put L in
     block-triangular form, so this is the union of the dense spectra of
     the diagonal blocks (six-spin diode: largest block 924 of 4096, a
-    few seconds).  For seven spins prefer steady_states(method="arnoldi").
+    few seconds).  For seven spins prefer steady_states.
     """
     m = L.matrix
     # ones, not values: L's values cast to real vanish at imaginary entries

@@ -29,6 +29,7 @@ from spindiode.spinops import (
     site_operator,
     standard_initial_states,
 )
+from spindiode.steadystate import steady_state_solve
 
 
 def random_density(rng, d):
@@ -357,6 +358,27 @@ def test_block_propagate_matches_full_space_steps(initial, grid):
     traj = propagate(L, Operator(rho0), times)
     for rho_t, want in zip(traj, stepwise_reference(L, rho0, times), strict=True):
         assert np.abs(rho_t.matrix - want).max() < 1e-10
+
+
+def test_propagate_is_reproducible():
+    # expm_multiply's norm estimates draw from numpy's global RNG; the
+    # trajectory must not depend on what drew from it before
+    spec = ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=0.1, J34=critical_j34(5.0))
+    L = assemble_liouvillian(build_hamiltonian(spec), bias_dissipators(spec)[1])
+    rho_ss = steady_state_solve(L).rho_ss
+    np.random.seed(0)
+    first = propagate(L, rho_ss, [0.0, 50.0])
+    for _ in range(4):
+        np.random.random(100)
+        again = propagate(L, rho_ss, [0.0, 50.0])
+        for a, b in zip(first, again, strict=True):
+            assert np.array_equal(a.matrix, b.matrix)
+    # and the caller's stream goes on as if propagate had drawn nothing
+    state = np.random.get_state()
+    propagate(L, rho_ss, [0.0, 50.0])
+    after = np.random.random(3)
+    np.random.set_state(state)
+    assert np.array_equal(after, np.random.random(3))
 
 
 def test_propagate_accepts_state_vector():

@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from spindiode.jordanwigner import build_jw_hamiltonian
 from spindiode.liouville import DissipatorKind, DissipatorSpec, assemble_liouvillian
 from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34
-from spindiode.spinops import coupling_zz, exchange_xx
+from spindiode.spinops import coupling_zz, exchange_xx, product_state
 from spindiode.steadystate import (
     convergence_fidelity,
     spectrum,
@@ -58,14 +58,40 @@ def test_fast_solver_residual_and_properties():
     assert np.linalg.norm(L.matrix @ rho.ravel(order="F")) < 1e-10
 
 
+def dense_null_state(L):
+    """Trace-normalized null vector of the dense L, no library solver involved."""
+    null = la.null_space(L.dense())
+    assert null.shape[1] == 1
+    rho = null[:, 0].reshape(L.hilbert_dim, L.hilbert_dim, order="F")
+    return rho / np.trace(rho)
+
+
 def test_solver_routes_agree_small():
-    """All three routes find the same state on a dense-checkable chain."""
+    """Both solvers find the dense null state on a dense-checkable chain."""
     L = small_chain()
     fast = steady_state_solve(L).rho_ss.matrix
     arn = steady_states(L, method="arnoldi").rho_ss.matrix
-    dense = steady_states(L, method="dense").rho_ss.matrix
+    dense = dense_null_state(L)
     assert np.abs(fast - arn).max() < 1e-8
     assert np.abs(fast - dense).max() < 1e-8
+
+
+def test_steady_states_on_one_and_two_spins():
+    # dims 4 and 16: the Arnoldi route runs at every size
+    L = assemble_liouvillian(None, [DissipatorSpec(site=1, gamma=1.0, lam=0.0)])
+    res = steady_states(L)
+    assert res.method == "arnoldi" and res.degeneracy == 1
+    down = product_state("d").density().matrix
+    assert np.abs(res.rho_ss.matrix - down).max() < 1e-12
+    L = small_chain(2)
+    res = steady_states(L)
+    assert res.degeneracy == 1
+    assert np.abs(res.rho_ss.matrix - dense_null_state(L)).max() < 1e-10
+
+
+def test_steady_states_accepts_only_arnoldi():
+    with pytest.raises(ValueError, match="unknown method"):
+        steady_states(small_chain(2), method="dense")
 
 
 def test_fast_matches_arnoldi_full_size():
@@ -158,8 +184,6 @@ def test_spectrum_structure():
 
 
 def test_convergence_fidelity_increases():
-    from spindiode.spinops import product_state
-
     L = boundary_driven(0.1)
     rho_ss = steady_state_solve(L).rho_ss
     F = convergence_fidelity(L, product_state("dduudd"), rho_ss, [0.0, 5.0, 25.0])
