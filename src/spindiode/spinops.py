@@ -187,9 +187,11 @@ def site_operator(n_sites: int, site: int, local) -> Operator:
         raise ValueError(f"local operator must be 2x2, got {loc.shape}")
     if not 1 <= site <= n_sites:
         raise ValueError(f"site {site} out of range for {n_sites} sites")
-    left = np.eye(2 ** (site - 1), dtype=complex)
-    right = np.eye(2 ** (n_sites - site), dtype=complex)
-    return Operator(np.kron(np.kron(left, loc), right))
+    # entry (k, k') is loc[b, b'] when k and k' agree except at the site, where they hold bits b and b'
+    k, shift = np.arange(2**n_sites)[:, None], n_sites - site
+    bit, out = (k >> shift) & 1, np.zeros((k.size, k.size), dtype=complex)
+    out[k, k ^ ((bit ^ [0, 1]) << shift)] = loc[bit[:, 0]]
+    return Operator(out)
 
 
 def exchange_xx(n_sites: int, i: int, j: int) -> Operator:

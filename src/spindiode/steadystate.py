@@ -10,7 +10,7 @@ provided, trading generality for speed:
   delta != 0).
 
 :func:`spectrum` returns every eigenvalue, from the dense spectra of the
-strongly connected blocks of L.
+strongly connected blocks of L: real ones, or one of each conjugate pair.
 
 The linear solve works in the invariant block of vec indices reachable
 from the populations (:func:`spindiode.liouville.reachable`), in the real
@@ -65,14 +65,6 @@ class SteadyStateResult:
     null_tol: float
     method: str
     rho_all: list[Operator] = field(default_factory=list)
-
-
-def _spectral_scale(L: Liouvillian) -> float:
-    """Upper bound on max |eigenvalue|: the induced infinity norm of L."""
-    m = L.matrix
-    row_sums = np.add.reduceat(np.abs(m.data), m.indptr[:-1])
-    row_sums[np.diff(m.indptr) == 0] = 0.0
-    return float(row_sums.max()) if row_sums.size else 0.0
 
 
 def _repair_psd(rho: np.ndarray) -> np.ndarray:
@@ -132,7 +124,7 @@ def steady_states(L: Liouvillian, method: str = "arnoldi") -> SteadyStateResult:
     """
     if method != "arnoldi":
         raise ValueError(f"unknown method {method!r}")
-    scale = _spectral_scale(L)
+    scale = spla.norm(L.matrix, np.inf)  # bounds every |eigenvalue| of L
     null_tol = _NULL_RTOL * max(scale, 1.0)
     k = min(_N_EIGS, L.dim - 2)
     w, vr = _eigs_near_zero(L.matrix, k, scale, v0=np.ones(L.dim))
@@ -255,7 +247,7 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     # points (h >= 7.5) whose blocked channel relaxes at ~1e-14 of the scale
     gain = float(np.linalg.norm(lu.solve(probe))) * scale
     if gain > 1e10:
-        sscale = _spectral_scale(L)
+        sscale = spla.norm(L.matrix, np.inf)
         w = _eigs_near_zero(R, min(4, n - 2), sscale, v0=np.ones(n), return_eigenvectors=False)
         second = float(np.sort(np.abs(w))[1])
         # a true second null vector resolves at ~1e-18 of scale, the
@@ -293,16 +285,27 @@ def spectrum(L: Liouvillian) -> np.ndarray:
     """All 4^n eigenvalues, sorted by real part descending.
 
     The strongly connected components of L's nonzero pattern put L in
-    block-triangular form, so this is the union of the dense spectra of
-    the diagonal blocks (six-spin diode: largest block 924 of 4096, a
-    few seconds).  For seven spins prefer steady_states.
+    block-triangular form, so this is the union of the dense spectra of the
+    diagonal blocks.  As L(rho^dag) = L(rho)^dag (else ValueError), the
+    transposition (r, c) -> (c, r) maps a block onto one with the conjugate
+    spectrum: a self-transposed block is diagonalized in the real coordinates
+    of :meth:`Liouvillian.restrict`, and of a transposed pair only one block
+    (six-spin diode: largest block 924 of 4096, about 2.5 s).  For seven
+    spins prefer steady_states.
     """
-    m = L.matrix
-    # ones, not values: L's values cast to real vanish at imaginary entries
+    m, d = L.matrix, L.hilbert_dim
+    T = np.arange(L.dim).reshape(d, d).T.ravel()  # vec index of the transposed entry
+    if abs(m[T][:, T] - m.conj()).max() > 1e-12 * abs(m).max():
+        raise ValueError("L does not preserve Hermiticity: L(rho^dag) != L(rho)^dag")
+    # ones, not values: L's values cast to real vanish at imaginary entries;
+    # with the transposed pattern added, blocks map onto blocks exactly
     pattern = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
+    pattern = pattern + pattern[T][:, T]
     n_blocks, labels = csgraph.connected_components(pattern, directed=True, connection="strong")
-    blocks = (np.flatnonzero(labels == c) for c in range(n_blocks))
-    w = np.concatenate([la.eigvals(m[idx][:, idx].toarray()) for idx in blocks])
+    blocks = [np.flatnonzero(labels == c) for c in range(n_blocks)]
+    w = [la.eigvals(L.restrict(i)[0].toarray()) for i in blocks if labels[T[i[0]]] == labels[i[0]]]
+    z = [la.eigvals(m[i][:, i].toarray()) for i in blocks if labels[T[i[0]]] > labels[i[0]]]
+    w = np.concatenate(w + z + [v.conj() for v in z])
     return w[np.argsort(-w.real)]
 
 

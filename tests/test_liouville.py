@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spindiode import liouville
 from spindiode.liouville import (
     DissipatorKind,
     DissipatorSpec,
@@ -15,6 +16,7 @@ from spindiode.liouville import (
     jump_superop,
     local_dissipator_superop,
     propagate,
+    reachable,
     unvectorize,
     vectorize,
 )
@@ -379,6 +381,61 @@ def test_propagate_is_reproducible():
     after = np.random.random(3)
     np.random.set_state(state)
     assert np.array_equal(after, np.random.random(3))
+
+
+def fig4a_liouvillian():
+    """The gate-closing dynamics: Delta = 100, J34 = -101, cold bath on site 1."""
+    spec = ModelSpec(variant=Variant.DIODE, delta=0.1, Delta=100.0, J34=-101.0)
+    return assemble_liouvillian(build_hamiltonian(spec), [DissipatorSpec(site=1, gamma=1.0, lam=0.0)])
+
+
+def diode_liouvillian():
+    """Reverse-bias six-spin diode at Delta = 5 on the critical line."""
+    spec = ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=0.1, J34=critical_j34(5.0))
+    return assemble_liouvillian(build_hamiltonian(spec), bias_dissipators(spec)[1])
+
+
+def restricted_block(L, rho0):
+    v = vectorize(rho0)
+    return L.restrict(reachable(L, np.flatnonzero(v)))[0]
+
+
+@pytest.mark.parametrize("case", ["fig4a_forced_krylov", "ghz_forced_dense"])
+def test_forced_route_matches_estimated_route(case, monkeypatch):
+    # each trajectory is forced onto the route its estimate does not pick
+    if case == "fig4a_forced_krylov":  # Delta = 100, 262-dim block
+        L, rho0, grid, dense = fig4a_liouvillian(), product_state("dduudd"), np.linspace(0.0, 2.0, 7), True
+    else:  # Delta = 5, 926-dim block
+        L, rho0, grid, dense = diode_liouvillian(), standard_initial_states(6)[2], np.linspace(0.0, 10.0, 5), False
+    picked, estimate = [], liouville._dense_is_cheaper
+
+    def spy(*args):
+        picked.append(estimate(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(liouville, "_dense_is_cheaper", spy)
+    chosen = propagate(L, rho0, grid)
+    assert picked == [dense]
+    monkeypatch.setattr(liouville, "_dense_is_cheaper", lambda *a: not dense)
+    forced = propagate(L, rho0, grid)
+    for a, b in zip(chosen, forced, strict=True):
+        assert np.abs(a.matrix - b.matrix).max() < 1e-10
+
+
+def test_route_estimate_picks_dense_only_for_the_gate_dynamics():
+    # no solves: only the estimate runs, on the blocks and grids propagate would see
+    gate = restricted_block(fig4a_liouvillian(), product_state("dduudd").density().matrix)
+    assert gate.shape[0] == 262
+    for grid in (np.linspace(0.0, 200.0, 401), [0.0, 100.0, 200.0]):  # fig4a, criterion 9
+        assert liouville._dense_is_cheaper(gate, np.asarray(grid, dtype=float))
+    L = diode_liouvillian()
+    states = standard_initial_states(6)
+    blocks = [restricted_block(L, states[k].density().matrix) for k in (0, 2)]
+    blocks.append(restricted_block(L, random_density(np.random.default_rng(23), 64)))
+    assert [R.shape[0] for R in blocks] == [924, 926, 4096]
+    for R in blocks:
+        for grid in (np.linspace(0.0, 10.0, 5), [0.0, 50.0]):
+            assert not liouville._dense_is_cheaper(R, np.asarray(grid, dtype=float))
 
 
 def test_propagate_accepts_state_vector():

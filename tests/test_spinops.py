@@ -60,6 +60,14 @@ def test_site_operator_embedding():
         site_operator(3, 4, SIGMA_X)
 
 
+@pytest.mark.parametrize("local", [SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS])
+def test_site_operator_matches_kron_oracle(local):
+    for n in range(1, 8):
+        for site in range(1, n + 1):
+            want = np.kron(np.kron(np.eye(2 ** (site - 1)), local), np.eye(2 ** (n - site)))
+            assert_array_equal(site_operator(n, site, local).matrix, want)
+
+
 def test_exchange_and_zz():
     xx = exchange_xx(2, 1, 2).matrix
     manual = np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)

@@ -3,11 +3,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 from spindiode.jordanwigner import build_jw_hamiltonian
-from spindiode.liouville import DissipatorKind, DissipatorSpec, assemble_liouvillian
+from spindiode.liouville import DissipatorKind, DissipatorSpec, Liouvillian, assemble_liouvillian
 from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34
 from spindiode.spinops import coupling_zz, exchange_xx, product_state
 from spindiode.steadystate import (
@@ -87,6 +88,17 @@ def test_steady_states_on_one_and_two_spins():
     res = steady_states(L)
     assert res.degeneracy == 1
     assert np.abs(res.rho_ss.matrix - dense_null_state(L)).max() < 1e-10
+
+
+def test_steady_states_when_the_last_row_of_L_is_empty():
+    # pure dephasing: both populations are steady, so L's last row (rho_11) is empty
+    L = assemble_liouvillian(None, [DissipatorSpec(site=1, gamma=1.0, kind=DissipatorKind.DEPHASE_T2)])
+    assert L.matrix.indptr[-2] == L.matrix.indptr[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the two null eigenvalues are all ARPACK computes
+        res = steady_states(L)
+    assert res.degeneracy == 2
+    assert np.abs(res.rho_ss.matrix - 0.5 * np.eye(2)).max() < 1e-12
 
 
 def test_steady_states_accepts_only_arnoldi():
@@ -181,6 +193,15 @@ def test_spectrum_structure():
     assert len(pos) == len(neg)
     dist = np.abs(pos[:, None] - neg[None, :].conj())
     assert dist.min(axis=1).max() < 1e-8
+
+
+def test_spectrum_refuses_non_hermiticity_preserving_generator():
+    # a one-spin generator whose image of rho^dag is not L(rho)^dag
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1] = 1j  # d rho_00 / dt = i rho_10, with no matching i rho_01 term
+    m[1, 1] = m[2, 2] = -1.0
+    with pytest.raises(ValueError, match="Hermiticity"):
+        spectrum(Liouvillian(sp.csr_matrix(m)))
 
 
 def test_convergence_fidelity_increases():
