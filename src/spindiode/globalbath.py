@@ -15,6 +15,12 @@ ohmic bath at temperature T drives each transition at
 with N the Bose-Einstein occupation, so emission and absorption obey
 detailed balance rate(omega)/rate(-omega) = exp(omega/T) exactly.
 
+Each bath dissipates in GKLS form: every single-linkage cluster C of Bohr
+frequencies (neighbours at most ``secular_cutoff`` apart; at cutoff 0 one
+frequency each, the full secular approximation) is one jump operator
+X_C = sum_{omega in C} sqrt(rate(omega)) A(omega), assembled by
+``liouville._superop`` like the local channels.
+
 Everything is assembled in the energy eigenbasis of H, where the
 Hamiltonian superoperator is diagonal and the A(omega) are sparse
 blocks; steady states are solved there and rotated back only at the
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .liouville import Liouvillian, unvectorize, vectorize
+from .liouville import Liouvillian, _superop, hamiltonian_superop, unvectorize, vectorize
 from .models import ModelSpec, Variant, build_hamiltonian, chain_ends
 from .spinops import SIGMA_X, Operator, _as_matrix, site_operator
 from .steadystate import steady_state_solve
@@ -52,10 +58,12 @@ __all__ = [
 class ThermalBathSpec:
     """One ohmic bath attached through sigma_x at ``site``.
 
-    ``secular_cutoff`` is the width of the (omega, omega') pairing
-    window; 0 keeps only equal frequencies after degeneracy grouping
-    (full secular approximation).  Eigenvalues and frequencies closer
-    than 1e-9 times the spectral scale count as degenerate.
+    ``secular_cutoff`` is the single-linkage width of the frequency
+    clusters: Bohr frequencies chained by gaps of at most the cutoff
+    share one jump operator, sum sqrt(rate(omega)) A(omega).  0 keeps
+    each frequency alone after degeneracy grouping (full secular
+    approximation).  Eigenvalues and frequencies closer than 1e-9 times
+    the spectral scale count as degenerate.  All fields must be finite.
     """
 
     site: int
@@ -64,20 +72,20 @@ class ThermalBathSpec:
     secular_cutoff: float = 0.0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.secular_cutoff < 0:
-            raise ValueError(f"secular_cutoff must be nonnegative, got {self.secular_cutoff}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
+        for name in ("gamma", "secular_cutoff"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.site < 1:
             raise ValueError(f"site must be a positive index, got {self.site}")
 
 
 def bath_rate(omega: float, T: float, gamma: float) -> float:
     """Ohmic emission/absorption rate at transition frequency omega."""
-    if T <= 0:
-        raise ValueError(f"temperature must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"temperature must be finite and positive, got {T}")
     if omega == 0.0:
         return gamma * T
     x = abs(omega) / T
@@ -163,11 +171,10 @@ def eigen_operators(H, coupling):
 
 @dataclass
 class GlobalDissipator:
-    """One bath's secular dissipator, held in the energy basis of H."""
+    """One bath's dissipator, held in the energy basis of H."""
 
     bath: ThermalBathSpec
     U: np.ndarray
-    eps: np.ndarray
     matrix_energy: sp.csr_matrix
 
     def apply(self, rho) -> np.ndarray:
@@ -178,57 +185,30 @@ class GlobalDissipator:
 
     def superop(self) -> np.ndarray:
         """Dense computational-basis superoperator (small systems only)."""
-        W = np.kron(self.U.conj(), self.U)
-        return W @ self.matrix_energy.toarray() @ W.conj().T
+        return np.column_stack([vectorize(self.apply(unvectorize(e))) for e in np.eye(len(self.U) ** 2)])
 
 
-def _dissipator_energy(eb: _EigenBlocks, bath: ThermalBathSpec) -> sp.csr_matrix:
-    """Secular dissipator in the energy basis, one pass over transition pairs.
+def _dissipator(eigensystem, bath: ThermalBathSpec) -> GlobalDissipator:
+    """One bath's dissipator: one jump per frequency cluster, built by the GKLS assembler.
 
-    Every transition s with a nonzero rate pairs with every transition t
-    whose frequency lies within the secular cutoff, and contributes
-
-        1/2 rate(w_s) [ A_s . A_t' + A_t . A_s' - A_t'A_s . - . A_s'A_t ].
+    The transitions of sigma_x at bath.site, sorted by frequency, form single-linkage
+    clusters of width bath.secular_cutoff; cluster C jumps with sum_{w in C} sqrt(rate(w)) A(w).
     """
-    d = len(eb.U)
+    eps, U = eigensystem
+    eb = _EigenBlocks(eigensystem, site_operator(len(eps).bit_length() - 1, bath.site, SIGMA_X))
     freqs, inverse = np.unique(eb.omega, return_inverse=True)
     rates = np.array([bath_rate(w, bath.temperature, bath.gamma) for w in freqs])[inverse]
-
-    s = np.flatnonzero(rates != 0.0)
-    lo = np.searchsorted(eb.omega, eb.omega[s] - bath.secular_cutoff, side="left")
-    hi = np.searchsorted(eb.omega, eb.omega[s] + bath.secular_cutoff, side="right")
-    counts = hi - lo
-    # t runs over lo[k] .. hi[k] - 1 for the k-th s
-    t = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    s = np.repeat(s, counts)
-
-    a_s, b_s, a_t, b_t = eb.rows[s], eb.cols[s], eb.rows[t], eb.cols[t]
-    # vec(rho) stacks columns, so vec(X rho Y) = kron(Y^T, X) vec(rho); the
-    # second sandwich term is the Hermitian conjugate of the first
-    weight = 0.5 * rates[s] * (eb.values[t].conj() * eb.values[s])
-    sandwich = sp.csr_matrix(
-        (
-            np.concatenate([weight, weight.conj()]),
-            (np.concatenate([a_t * d + a_s, a_s * d + a_t]), np.concatenate([b_t * d + b_s, b_s * d + b_t])),
-        ),
-        shape=(d * d, d * d),
-    )
-    # the no-jump factor sum 1/2 rate A_t'A_s is small (d x d), so kron
-    # it with the identity once; A_s'A_t = (A_t'A_s)' and transposing
-    # that for vec(rho X) gives its conjugate
-    same = a_s == a_t
-    M = sp.csr_matrix((weight[same], (b_t[same], b_s[same])), shape=(d, d))
-    eye = sp.identity(d, dtype=complex, format="csr")
-    return (sandwich - sp.kron(eye, M, format="csr") - sp.kron(M.conj(), eye, format="csr")).tocsr()
+    jumps = (_cluster(eb.omega, bath.secular_cutoff)[0], eb.rows, eb.cols, eb.values, rates)
+    return GlobalDissipator(bath, U, _superop(None, jumps, len(eps)))
 
 
 def global_dissipator(H, bath: ThermalBathSpec) -> GlobalDissipator:
-    """Secular thermal dissipator for a sigma_x coupling at bath.site."""
-    return assemble_global_liouvillian(H, [bath])[1][0]
+    """Thermal dissipator for a sigma_x coupling at bath.site."""
+    return _dissipator(_eigensystem(H), bath)
 
 
 def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, list[GlobalDissipator]]:
-    """Full generator -i[H, .] + sum of secular bath dissipators.
+    """Full generator -i[H, .] + sum of bath dissipators.
 
     Returned in the energy eigenbasis of H (the coherent part is then
     diagonal); the accompanying GlobalDissipator objects carry the basis
@@ -237,20 +217,10 @@ def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, list[GlobalDissi
     baths = list(baths)
     if not baths:
         raise ValueError("need at least one bath")
-    eps, U = eigensystem = _eigensystem(H)
-    n_sites = len(eps).bit_length() - 1
-    dissipators = []
-    for bath in baths:
-        eb = _EigenBlocks(eigensystem, site_operator(n_sites, bath.site, SIGMA_X))
-        dissipators.append(GlobalDissipator(bath, U, eps, _dissipator_energy(eb, bath)))
-
-    # vec(rho) stacks columns, so the (row, col) matrix entry sits at
-    # vec index col*d + row and -i[H, .] is diagonal there
-    phase = -1j * (eps[:, None] - eps[None, :])
-    total = sp.diags(phase.ravel(order="F"), format="csr")
-    for dis in dissipators:
-        total = total + dis.matrix_energy
-    return Liouvillian(total.tocsr()), dissipators
+    eigensystem = _eigensystem(H)
+    dissipators = [_dissipator(eigensystem, bath) for bath in baths]
+    coherent = hamiltonian_superop(np.diag(eigensystem[0]))
+    return Liouvillian(sum((dis.matrix_energy for dis in dissipators), coherent)), dissipators
 
 
 def heat_current(H, dissipator: GlobalDissipator, rho_ss) -> float:

@@ -102,23 +102,47 @@ def _kron(A: np.ndarray, B: np.ndarray):
     return rows, cols, (A[ai, aj][:, None] * B[bi, bj]).ravel()
 
 
-def _superop(H, jumps, dim: int) -> sp.csr_matrix:
-    """L = I kron G + conj(G) kron I + sum r conj(X) kron X of (rate, X) pairs, one CSR build.
+def _table(pairs):
+    """Jump table (ids, rows, cols, values, rates) of the nonzero entries of dense (rate, X) pairs."""
+    nonzeros = [(k, r, X, *np.nonzero(X)) for k, (r, X) in enumerate(pairs)]
+    parts = [(np.full(i.size, k), i, j, X[i, j], np.full(i.size, r)) for k, r, X, i, j in nonzeros]
+    return tuple(map(np.concatenate, zip(*parts))) or (np.empty(0),) * 5
 
-    One vector holds L's diagonal: diag(G) of both kron terms and every diagonal jump, folded.
+
+def _superop(H, jumps, dim: int) -> sp.csr_matrix:
+    """L = I kron G + conj(G) kron I + sum_k conj(X_k) kron X_k, one CSR build.
+
+    ``jumps`` is a table (ids, rows, cols, values, rates) whose entries s, those of one jump
+    adjacent, make X_k = sum over s in k of sqrt(r_s) v_s |a_s><b_s|.  Each pair (s, t) in one
+    jump puts w = sqrt(r_s r_t) conj(v_s) v_t at L[a_s d + a_t, b_s d + b_t], and -w/2 at
+    G[b_s, b_t] when a_s = a_t (G = -iH - 1/2 sum X'X).  One vector holds L's diagonal:
+    diag(G) of both kron terms and every pair that lands on it, folded.
     """
+    keep = jumps[4] != 0.0
+    ids, v, r = jumps[0][keep], jumps[3][keep], jumps[4][keep]
+    a, b = (x[keep].astype(np.int32) for x in jumps[1:3])
+    # entry s pairs with the n entries lo .. lo + n - 1 of its jump; int32 and in-place
+    # products keep the pair arrays below the peak of the CSR build that follows
+    start = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    size = np.diff(np.r_[start, ids.size])
+    n, lo = np.repeat(size, size), np.repeat(start, size)
+    s = np.repeat(np.arange(ids.size, dtype=np.int32), n)
+    t = np.arange(s.size, dtype=np.int32) + np.repeat((lo - np.cumsum(n) + n).astype(np.int32), n)
+    w = v[s].conj()
+    w *= v[t]
+    # times sqrt(r_s r_t): exactly r_s when equal, and no underflow for tiny rates
+    w *= np.where(r[s] == r[t], r[s], np.sqrt(r[s]) * np.sqrt(r[t]))
+    rows, cols, same = a[s] * dim + a[t], b[s] * dim + b[t], a[s] == a[t]
     G = np.zeros((dim, dim), dtype=complex) if H is None else -1j * H
-    diag, terms = np.zeros(dim * dim, dtype=complex), []
-    for r, X in jumps:
-        G -= 0.5 * r * (X.conj().T @ X)
-        rows, cols, vals = _kron(X.conj(), X)
-        if np.array_equal(rows, cols):
-            diag[rows] += r * vals
-        else:
-            terms.append((rows, cols, r * vals))
+    np.add.at(G, (b[s[same]], b[t[same]]), -0.5 * w[same])
+    del s, t, same
+    diag, on = np.zeros(dim * dim, dtype=complex), rows == cols
+    np.add.at(diag, rows[on], w[on])
     g, eye, kk = G.diagonal(), np.eye(dim), np.arange(dim * dim, dtype=np.int32)
     off = G - np.diag(g)
-    terms += [(kk, kk, diag + (g.conj()[:, None] + g).ravel()), _kron(eye, off), _kron(off.conj(), eye)]
+    terms = [(rows[~on], cols[~on], w[~on]), (kk, kk, diag + (g.conj()[:, None] + g).ravel())]
+    del rows, cols, w, on
+    terms += [_kron(eye, off), _kron(off.conj(), eye)]
     rows, cols, vals = (np.concatenate(t) for t in zip(*terms))
     del terms, diag
     out = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
@@ -127,11 +151,11 @@ def _superop(H, jumps, dim: int) -> sp.csr_matrix:
 
 
 def _jumps(dissipators, n_sites: int):
-    """Yield (rate, X) of every jump with a nonzero rate; the one place that knows the DissipatorKinds.
+    """Jump table of the local channels; the one place that knows the DissipatorKinds.
 
     A ladder applies X' at rate gamma*lam and X at gamma*(1-lam); fermions are built once per call.
     """
-    fermions = None
+    fermions, pairs = None, []
     for s in dissipators:
         if s.site > n_sites:
             raise ValueError(f"site {s.site} out of range for {n_sites} sites")
@@ -144,20 +168,20 @@ def _jumps(dissipators, n_sites: int):
             local = SIGMA_Z if s.kind is DissipatorKind.DEPHASE_T2 else SIGMA_MINUS
             X = site_operator(n_sites, s.site, local).matrix
         ladder = s.kind in (DissipatorKind.SPIN_LADDER, DissipatorKind.FERMION_LADDER)
-        pairs = [(s.gamma * s.lam, X.conj().T), (s.gamma * (1.0 - s.lam), X)] if ladder else [(s.gamma, X)]
-        yield from ((r, X) for r, X in pairs if r != 0.0)
+        pairs += [(s.gamma * s.lam, X.conj().T), (s.gamma * (1.0 - s.lam), X)] if ladder else [(s.gamma, X)]
+    return _table(pairs)
 
 
 def jump_superop(L, rate: float = 1.0) -> sp.csr_matrix:
     """Vectorized dissipator rate*(L.L' - 1/2 {L'L, .}) for jump operator L."""
     X = _as_matrix(L)
-    return _superop(None, [(rate, X)], len(X))
+    return _superop(None, _table([(rate, X)]), len(X))
 
 
 def hamiltonian_superop(H) -> sp.csr_matrix:
     """The coherent part -i(I kron H - H^T kron I)."""
     Hm = _as_matrix(H)
-    return _superop(Hm, (), len(Hm))
+    return _superop(Hm, _table(()), len(Hm))
 
 
 def local_dissipator_superop(spec: DissipatorSpec, n_sites: int) -> sp.csr_matrix:

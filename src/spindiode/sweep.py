@@ -53,7 +53,9 @@ class BathConfig:
     (thermal baths under the global master equation) or ``fermion``
     (Jordan-Wigner ladder baths).  ``T`` is the optional single-spin
     decoherence lifetime (T1 = T2 = T, units of 1/J) applied to every
-    site in spin mode.
+    site in spin mode.  In heat mode ``secular_cutoff`` is the width of the
+    frequency clusters that share a jump (see ``ThermalBathSpec``); a
+    non-finite temperature, gamma or cutoff fails its point with ValueError.
     """
 
     mode: str = "spin"

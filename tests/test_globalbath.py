@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spindiode.globalbath import (
@@ -70,15 +72,79 @@ def dense_secular_dissipator(H, bath):
     return D
 
 
+def dense_cluster_dissipator(H, bath):
+    """Dense oracle sum_C D[X_C] with X_C = sum_{w in C} sqrt(rate(w)) A(w), column-stacked vec.
+
+    The clusters C chain the sorted frequencies whose neighbours lie at most
+    the cutoff apart; D[X] = X . X' - 1/2 {X'X, .}.
+    """
+    n = H.matrix.shape[0].bit_length() - 1
+    pairs = sorted(eigen_operators(H, site_operator(n, bath.site, SIGMA_X)), key=lambda p: p[0])
+    clusters = [[pairs[0]]]
+    for (w_prev, _), pair in zip(pairs, pairs[1:]):
+        if pair[0] - w_prev > bath.secular_cutoff:
+            clusters.append([])
+        clusters[-1].append(pair)
+    eye = np.eye(H.matrix.shape[0])
+    D = np.zeros((eye.size, eye.size), dtype=complex)
+    for cluster in clusters:
+        X = sum(math.sqrt(bath_rate(w, bath.temperature, bath.gamma)) * A.matrix for w, A in cluster)
+        XdX = X.conj().T @ X
+        D += np.kron(X.conj(), X) - 0.5 * np.kron(eye, XdX) - 0.5 * np.kron(XdX.T, eye)
+    return D
+
+
 @pytest.mark.parametrize("cutoff", [0.0, 0.5])
 def test_secular_dissipator_matches_dense_oracle(cutoff):
+    """Cutoff 0 against the equal-frequency pairing, cutoff 0.5 against the cluster jumps."""
     H = small_hamiltonian(3)
     bath = ThermalBathSpec(site=1, temperature=1.3, gamma=0.8, secular_cutoff=cutoff)
+    oracle = dense_secular_dissipator
     if cutoff > 0:
         freqs = [w for w, _ in eigen_operators(H, site_operator(3, 1, SIGMA_X))]
         assert any(0 < abs(wi - wj) <= cutoff for wi in freqs for wj in freqs)
+        oracle = dense_cluster_dissipator
     D = global_dissipator(H, bath).superop()
-    assert np.abs(D - dense_secular_dissipator(H, bath)).max() < 1e-12
+    assert np.abs(D - oracle(H, bath)).max() < 1e-12
+
+
+def choi(S):
+    """Choi matrix sum_ij |i><j| (x) S(|i><j|) of a column-stacked superoperator."""
+    d = int(round(math.sqrt(S.shape[0])))
+    # S[b*d + a, j*d + i] = <a|S(|i><j|)|b> becomes C[i*d + a, j*d + b]
+    return S.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    temperature=st.floats(0.05, 20.0),
+    cutoff=st.floats(0.0, 2.0),
+    site=st.integers(1, 3),
+)
+def test_thermal_generator_is_gkls(seed, temperature, cutoff, site):
+    """A random three-spin H, any temperature and cutoff: a trace- and Hermiticity-preserving CP generator.
+
+    The no-jump part -1/2 {X'X, .} only adds Choi terms along the maximally
+    entangled vector Omega, so off Omega the Choi matrix of the dissipator is
+    that of its jump part, sum_C |X_C>><<X_C|, and must be PSD.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    H = Operator(a + a.conj().T)
+    bath = ThermalBathSpec(site=site, temperature=temperature, secular_cutoff=cutoff)
+    L, (dis,) = assemble_global_liouvillian(H, [bath])
+
+    C = choi(dis.matrix_energy.toarray())
+    omega = vectorize(np.eye(8)) / math.sqrt(8)
+    P = np.eye(64) - np.outer(omega, omega)
+    assert np.abs(C - C.conj().T).max() < 1e-12 * np.abs(C).max()
+    assert np.linalg.eigvalsh(P @ C @ P).min() > -1e-12 * np.abs(C).max()
+
+    L = L.dense()
+    assert np.abs(vectorize(np.eye(8)) @ L).max() < 1e-12 * np.abs(L).max()
+    x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    lhs, rhs = unvectorize(L @ vectorize(x.conj().T)), unvectorize(L @ vectorize(x)).conj().T
+    assert np.abs(lhs - rhs).max() < 1e-12 * np.abs(L).max() * np.abs(x).max()
 
 
 def test_cluster_chains_gaps_below_tol():
@@ -113,6 +179,17 @@ def test_bath_spec_validation():
         ThermalBathSpec(site=1, temperature=1.0, gamma=-0.5)
     with pytest.raises(ValueError):
         ThermalBathSpec(site=1, temperature=1.0, secular_cutoff=-0.1)
+    for field in ("temperature", "gamma", "secular_cutoff"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                ThermalBathSpec(site=1, **{"temperature": 1.0, field: bad})
+
+
+@pytest.mark.parametrize("kwargs", [{"T_H": math.inf}, {"T_H": math.nan}, {"T_C": math.nan}, {"gamma": math.nan}])
+def test_evaluate_heat_diode_rejects_non_finite_baths(kwargs):
+    spec = ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=5.0, J34=6.3)
+    with pytest.raises(ValueError, match="must be finite"):
+        evaluate_heat_diode(spec, **kwargs)
 
 
 def test_single_qubit_thermalizes_to_gibbs():
@@ -201,6 +278,21 @@ def test_evaluate_heat_diode_tuned_point():
     assert m.K_f == pytest.approx(5.205426e-01, rel=1e-5)
     assert m.R_Q == pytest.approx(1.4010e08, rel=1e-3)
     assert max(m.balance) < 1e-8
+
+
+def test_partial_secular_point_solves_to_positive_states():
+    """Heat_HQ at delta = 0.01, h = 5, J34 = 6.3 with cutoff 0.5: PSD states on both biases.
+
+    About 4 s, nearly all in the LU: the cluster jumps couple coherences to
+    populations, so each bath's dissipator holds 626k nonzeros (92k under the
+    old pairing window) and the solved block has 2048 indices (228 before).
+    """
+    spec = ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=5.0, J34=6.3)
+    m = evaluate_heat_diode(spec, T_C=0.1, T_H=10.1, gamma=1.0, secular_cutoff=0.5)
+    assert max(m.balance) < 1e-8
+    for rho in (m.rho_f, m.rho_r):
+        assert np.linalg.eigvalsh(rho.matrix).min() > -1e-12
+    assert m.R_Q > 1.0
 
 
 def test_evaluate_heat_diode_rejects_wrong_variant():

@@ -20,7 +20,16 @@ from spindiode.liouville import (
     unvectorize,
     vectorize,
 )
-from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34, restrict_to_sites
+from spindiode.globalbath import ThermalBathSpec, assemble_global_liouvillian
+from spindiode.models import (
+    ModelSpec,
+    Variant,
+    build_hamiltonian,
+    chain_ends,
+    critical_j34,
+    critical_j34_heat,
+    restrict_to_sites,
+)
 from spindiode.observables import bias_dissipators
 from spindiode.spinops import (
     SIGMA_MINUS,
@@ -224,6 +233,17 @@ def test_six_spin_diode_pattern_sizes():
     H, forward = build_hamiltonian(spec), bias_dissipators(spec)[0]
     assert assemble_liouvillian(H, forward).matrix.nnz == 35840
     assert assemble_liouvillian(H, forward + decoherence_channels(6, 1e3)).matrix.nnz == 39936
+
+
+@pytest.mark.parametrize("h, nnz", [(5.0, 5694), (9.0, 6024)])
+def test_six_spin_heat_pattern_sizes(h, nnz):
+    """`reachable` reads the stored pattern: zero-rate transitions must leave no stored zeros."""
+    spec = ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=h, J34=critical_j34_heat(h))
+    first, last = chain_ends(spec)
+    baths = [ThermalBathSpec(first, 10.1), ThermalBathSpec(last, 0.1)]
+    L = assemble_global_liouvillian(build_hamiltonian(spec), baths)[0]
+    assert L.matrix.nnz == nnz
+    assert np.all(L.matrix.data != 0)
 
 
 def test_fermions_built_once_per_assembly(monkeypatch):

@@ -101,6 +101,17 @@ def test_non_finite_points_land_in_the_error_column():
     assert errs[3] == ""
 
 
+def test_non_finite_bath_temperature_lands_in_the_error_column():
+    heat = {
+        "model": {"variant": "Heat_HQ", "delta": 0.01, "h": 5.0, "J34": 6.3},
+        "axes": [["T_C", [float("nan"), 0.1]]],
+        "bath": {"mode": "heat", "T_H": 5.1},
+    }
+    errs = run_sweep(SweepConfig.from_json(json.dumps(heat))).column("error")
+    assert errs[0] == "ValueError: temperature must be finite and positive, got nan"
+    assert errs[1] == ""
+
+
 def test_worker_pool_matches_serial():
     cfg = SweepConfig.from_json(small_config())
     serial = run_sweep(cfg)
