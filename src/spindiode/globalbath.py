@@ -25,7 +25,10 @@ Everything is assembled in the energy eigenbasis of H, where the
 Hamiltonian superoperator is diagonal and the A(omega) are sparse
 blocks; steady states are solved there and rotated back only at the
 end.  This keeps the six-spin superoperator (4096 x 4096) comfortably
-sparse.
+sparse.  ``evaluate_heat_diode`` diagonalizes H once per point: both
+biases share the eigensystem, the coherent part and one transition table
+per bath site, so a bias only adds its rates (one array expression over
+the distinct frequencies) and the GKLS assembly.
 """
 
 from __future__ import annotations
@@ -86,13 +89,20 @@ def bath_rate(omega: float, T: float, gamma: float) -> float:
     """Ohmic emission/absorption rate at transition frequency omega."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"temperature must be finite and positive, got {T}")
-    if omega == 0.0:
-        return gamma * T
-    x = abs(omega) / T
-    n = 0.0 if x > 700.0 else 1.0 / math.expm1(x)
-    if omega > 0:
-        return gamma * abs(omega) * (1.0 + n)
-    return gamma * abs(omega) * n
+    if not (math.isfinite(omega) and math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"omega and gamma must be finite and gamma nonnegative, got {omega}, {gamma}")
+    return float(_rates(np.array([omega], dtype=float), T, gamma)[0])
+
+
+def _rates(omega: np.ndarray, T: float, gamma: float) -> np.ndarray:
+    """Unchecked bath_rate over an array, bit-identical: np.expm1 can differ from math.expm1 in the last bit."""
+    x = np.abs(omega) / T
+    live = (omega != 0.0) & (x <= 700.0)
+    n = np.zeros_like(x)
+    n[live] = 1.0 / np.fromiter(map(math.expm1, x[live]), float, np.count_nonzero(live))
+    rates = gamma * np.abs(omega) * np.where(omega > 0, 1.0 + n, n)
+    rates[omega == 0.0] = gamma * T
+    return rates
 
 
 def _cluster(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +133,9 @@ class _EigenBlocks:
 
     Holds the eigenvectors U of H and the transition table of the
     rotated coupling U^dagger C U: its nonzero elements ``values`` at
-    (``rows``, ``cols``) with grouped frequency ``omega`` = eps' - eps,
-    sorted by ``omega``.  A(omega) is the part of the table at one
+    (``rows``, ``cols``) with grouped frequency eps' - eps =
+    ``freqs[inverse]``, sorted by frequency; ``freqs`` are the distinct
+    frequencies, increasing.  A(omega) is the part of the table at one
     frequency.
     """
 
@@ -148,7 +159,7 @@ class _EigenBlocks:
         self.rows = rows[order]
         self.cols = cols[order]
         self.values = Ct[self.rows, self.cols]
-        self.omega = omega[order]
+        self.freqs, self.inverse = np.unique(omega[order], return_inverse=True)
 
 
 def eigen_operators(H, coupling):
@@ -160,11 +171,11 @@ def eigen_operators(H, coupling):
     [H, A(omega)] = -omega A(omega).
     """
     eb = _EigenBlocks(_eigensystem(H), coupling)
-    freqs, starts = np.unique(eb.omega, return_index=True)
     out = []
-    for omega, lo, hi in zip(freqs, starts, [*starts[1:], len(eb.omega)]):
+    for k, omega in enumerate(eb.freqs):
         A = np.zeros_like(eb.U)
-        A[eb.rows[lo:hi], eb.cols[lo:hi]] = eb.values[lo:hi]
+        at = eb.inverse == k
+        A[eb.rows[at], eb.cols[at]] = eb.values[at]
         out.append((float(omega), Operator(eb.U @ A @ eb.U.conj().T)))
     return out
 
@@ -188,23 +199,43 @@ class GlobalDissipator:
         return np.column_stack([vectorize(self.apply(unvectorize(e))) for e in np.eye(len(self.U) ** 2)])
 
 
-def _dissipator(eigensystem, bath: ThermalBathSpec) -> GlobalDissipator:
-    """One bath's dissipator: one jump per frequency cluster, built by the GKLS assembler.
+class _HeatGenerator:
+    """The bias-independent part of a heat generator, built once from H.
 
-    The transitions of sigma_x at bath.site, sorted by frequency, form single-linkage
-    clusters of width bath.secular_cutoff; cluster C jumps with sum_{w in C} sqrt(rate(w)) A(w).
+    Holds the eigensystem, -i[diag(eps), .] and one sigma_x transition table
+    per bath site (built on first use); a call only adds the baths' rates.
     """
-    eps, U = eigensystem
-    eb = _EigenBlocks(eigensystem, site_operator(len(eps).bit_length() - 1, bath.site, SIGMA_X))
-    freqs, inverse = np.unique(eb.omega, return_inverse=True)
-    rates = np.array([bath_rate(w, bath.temperature, bath.gamma) for w in freqs])[inverse]
-    jumps = (_cluster(eb.omega, bath.secular_cutoff)[0], eb.rows, eb.cols, eb.values, rates)
-    return GlobalDissipator(bath, U, _superop(None, jumps, len(eps)))
+
+    def __init__(self, H):
+        self.eigensystem = _eigensystem(H)
+        self.coherent = hamiltonian_superop(np.diag(self.eigensystem[0]))
+        self._tables = {}
+
+    def dissipator(self, bath: ThermalBathSpec) -> GlobalDissipator:
+        """One jump per frequency cluster, built by the GKLS assembler.
+
+        The transitions of sigma_x at bath.site, sorted by frequency, form single-linkage
+        clusters of width bath.secular_cutoff; cluster C jumps with sum_{w in C} sqrt(rate(w)) A(w).
+        """
+        if bath.site not in self._tables:
+            n = len(self.eigensystem[0]).bit_length() - 1
+            self._tables[bath.site] = _EigenBlocks(self.eigensystem, site_operator(n, bath.site, SIGMA_X))
+        eb = self._tables[bath.site]
+        rates = _rates(eb.freqs, bath.temperature, bath.gamma)[eb.inverse]
+        jumps = (_cluster(eb.freqs, bath.secular_cutoff)[0][eb.inverse], eb.rows, eb.cols, eb.values, rates)
+        return GlobalDissipator(bath, eb.U, _superop(None, jumps, len(eb.U)))
+
+    def __call__(self, baths) -> tuple[Liouvillian, list[GlobalDissipator]]:
+        baths = list(baths)
+        if not baths:
+            raise ValueError("need at least one bath")
+        dissipators = [self.dissipator(bath) for bath in baths]
+        return Liouvillian(sum((dis.matrix_energy for dis in dissipators), self.coherent)), dissipators
 
 
 def global_dissipator(H, bath: ThermalBathSpec) -> GlobalDissipator:
     """Thermal dissipator for a sigma_x coupling at bath.site."""
-    return _dissipator(_eigensystem(H), bath)
+    return _HeatGenerator(H).dissipator(bath)
 
 
 def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, list[GlobalDissipator]]:
@@ -214,13 +245,7 @@ def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, list[GlobalDissi
     diagonal); the accompanying GlobalDissipator objects carry the basis
     for rotating states back.  All baths share one diagonalization.
     """
-    baths = list(baths)
-    if not baths:
-        raise ValueError("need at least one bath")
-    eigensystem = _eigensystem(H)
-    dissipators = [_dissipator(eigensystem, bath) for bath in baths]
-    coherent = hamiltonian_superop(np.diag(eigensystem[0]))
-    return Liouvillian(sum((dis.matrix_energy for dis in dissipators), coherent)), dissipators
+    return _HeatGenerator(H)(baths)
 
 
 def heat_current(H, dissipator: GlobalDissipator, rho_ss) -> float:
@@ -249,16 +274,6 @@ class HeatDiodeMetrics:
     rho_r: Operator | None = None
 
 
-def _thermal_steady_state(H, baths) -> tuple[Operator, list[float]]:
-    """Solve the global master equation; state in the computational basis."""
-    L, dissipators = assemble_global_liouvillian(H, baths)
-    rho_energy = steady_state_solve(L).rho_ss
-    U = dissipators[0].U
-    rho = Operator(U @ rho_energy.matrix @ U.conj().T)
-    currents = [heat_current(H, dis, rho) for dis in dissipators]
-    return rho, currents
-
-
 def evaluate_heat_diode(
     spec: ModelSpec,
     T_C: float = 0.1,
@@ -280,24 +295,18 @@ def evaluate_heat_diode(
         raise ValueError(f"need T_H > T_C, got T_H={T_H}, T_C={T_C}")
     H = build_hamiltonian(spec)
     first, last = chain_ends(spec)
+    generator = _HeatGenerator(H)  # one diagonalization, one transition table per site, both biases
 
-    currents = []
-    balance = []
-    states = []
+    currents, balance, states = [], [], []
     for T1, Tn in ((T_H, T_C), (T_C, T_H)):
-        baths = [ThermalBathSpec(site, T, gamma, secular_cutoff) for site, T in ((first, T1), (last, Tn))]
-        rho, (k1, kn) = _thermal_steady_state(H, baths)
+        L, dissipators = generator(ThermalBathSpec(s, T, gamma, secular_cutoff) for s, T in ((first, T1), (last, Tn)))
+        U = dissipators[0].U  # solved in the energy basis, rotated back
+        rho = Operator(U @ steady_state_solve(L).rho_ss.matrix @ U.conj().T)
+        k1, kn = (heat_current(H, dis, rho) for dis in dissipators)
         currents.append(k1)
         balance.append(abs(k1 + kn))
         states.append(rho)
 
     K_f, K_r = currents
     R_Q = math.inf if abs(K_r) < 1e-16 else -K_f / K_r
-    return HeatDiodeMetrics(
-        K_f=K_f,
-        K_r=K_r,
-        R_Q=R_Q,
-        balance=(balance[0], balance[1]),
-        rho_f=states[0],
-        rho_r=states[1],
-    )
+    return HeatDiodeMetrics(K_f=K_f, K_r=K_r, R_Q=R_Q, balance=tuple(balance), rho_f=states[0], rho_r=states[1])

@@ -233,7 +233,13 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
                        np.r_[0, R.indptr[1:] - h + pop.size]), shape=(n, n)).tocsc()
     b = np.r_[1.0, np.zeros(n - 1)]
     # symmetric mode (A's pattern is nearly symmetric): less fill than COLAMD
-    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: a failed or exactly singular factorization
+        raise RuntimeError(
+            f"trace-constrained system ({n} x {n} block) is singular, its LU factorization failed; "
+            "the steady state is degenerate (delta = 0 or gamma = 0?) - use steady_states() instead"
+        ) from exc
     x = lu.solve(b)
     x += lu.solve(b - A @ x)  # one step of iterative refinement
 

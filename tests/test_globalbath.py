@@ -6,9 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spindiode import globalbath
 from spindiode.globalbath import (
     ThermalBathSpec,
     _cluster,
+    _HeatGenerator,
+    _rates,
     assemble_global_liouvillian,
     bath_rate,
     eigen_operators,
@@ -17,7 +20,7 @@ from spindiode.globalbath import (
     heat_current,
 )
 from spindiode.liouville import unvectorize, vectorize
-from spindiode.models import ModelSpec, Variant
+from spindiode.models import ModelSpec, Variant, build_hamiltonian, chain_ends
 from spindiode.spinops import SIGMA_X, SIGMA_Z, Operator, coupling_zz, exchange_xx, site_operator
 from spindiode.steadystate import steady_state_solve
 
@@ -168,6 +171,86 @@ def test_bath_rate_detailed_balance():
     assert bath_rate(100.0, 0.1, 1.0) == pytest.approx(100.0)
     with pytest.raises(ValueError):
         bath_rate(1.0, 0.0, 1.0)
+
+
+def scalar_rate(omega, T, gamma):
+    """The ohmic rate written out in scalar arithmetic, the reference for the vectorized rates."""
+    if omega == 0.0:
+        return gamma * T
+    x = abs(omega) / T
+    n = 0.0 if x > 700.0 else 1.0 / math.expm1(x)
+    if omega > 0:
+        return gamma * abs(omega) * (1.0 + n)
+    return gamma * abs(omega) * n
+
+
+@pytest.mark.parametrize("T", [0.1, 1.3, 10.1])
+def test_vectorized_rates_match_the_scalar_formula_bit_for_bit(T):
+    """Zero of either sign, gaps of 1e-300, |omega|/T at and just above 700, far tails, a log-spaced bulk."""
+    at = 700.0 * T
+    above = np.nextafter(at, np.inf)
+    assert at / T == 700.0 and above / T > 700.0
+    edges = [0.0, -0.0, 1e-300, -1e-300, at, -at, above, -above, 1e4, -1e4]
+    bulk = np.geomspace(1e-6, 1e3, 1000) * np.random.default_rng(7).choice([-1.0, 1.0], 1000)
+    omega = np.r_[edges, bulk]
+    expected = np.array([scalar_rate(w, T, 0.8) for w in omega.tolist()])
+    assert _rates(omega, T, 0.8).tobytes() == expected.tobytes()
+    assert np.array([bath_rate(w, T, 0.8) for w in omega.tolist()]).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (-math.inf, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                  (1.0, 1.0, math.nan), (1.0, 1.0, -1.0)])
+def test_bath_rate_rejects_non_finite_frequency_and_bad_gamma(args):
+    with pytest.raises(ValueError, match="must be finite"):
+        bath_rate(*args)
+
+
+def heat_hq(h):
+    spec = ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=h, J34=h + 1.3)
+    return build_hamiltonian(spec), chain_ends(spec)
+
+
+@pytest.mark.parametrize("h, cutoff", [(None, 0.0), (None, 0.5), (5.0, 0.0), (9.0, 0.0)])
+def test_shared_generator_matches_fresh_assembly_per_bias(h, cutoff):
+    """One _HeatGenerator asked for both biases equals a fresh assembly for each, entry for entry.
+
+    h = None is the three-spin chain, otherwise six-spin Heat_HQ on its critical line.
+    """
+    H, (first, last) = (small_hamiltonian(3), (1, 3)) if h is None else heat_hq(h)
+    generator = _HeatGenerator(H)
+    for T1, Tn in ((10.1, 0.1), (0.1, 10.1)):
+        baths = [ThermalBathSpec(first, T1, 0.8, cutoff), ThermalBathSpec(last, Tn, 0.8, cutoff)]
+        shared, fresh = generator(baths)[0].matrix, assemble_global_liouvillian(H, baths)[0].matrix
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(shared, attr), getattr(fresh, attr))
+
+
+def test_heat_point_diagonalizes_once_and_tables_each_site_once(monkeypatch):
+    spec = ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=5.0, J34=6.3)
+    eigensystem, eigen_blocks = globalbath._eigensystem, globalbath._EigenBlocks
+    diagonalized, couplings = [], []
+
+    def counted_eigensystem(H):
+        diagonalized.append(H)
+        return eigensystem(H)
+
+    def counted_eigen_blocks(eigensys, coupling):
+        couplings.append(coupling)
+        return eigen_blocks(eigensys, coupling)
+
+    monkeypatch.setattr(globalbath, "_eigensystem", counted_eigensystem)
+    monkeypatch.setattr(globalbath, "_EigenBlocks", counted_eigen_blocks)
+    evaluate_heat_diode(spec)
+    assert len(diagonalized) == 1
+    assert len(couplings) == 2
+    for coupling, site in zip(couplings, chain_ends(spec)):
+        assert np.array_equal(coupling.matrix, site_operator(6, site, SIGMA_X).matrix)
+
+
+def test_zero_coupling_fails_with_the_degenerate_steady_state_error():
+    spec = ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=5.0, J34=6.3)
+    with pytest.raises(RuntimeError, match=r"64 x 64 block\) is singular.*use steady_states\(\)"):
+        evaluate_heat_diode(spec, gamma=0.0)
 
 
 def test_bath_spec_validation():

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from spindiode.jordanwigner import build_jw_hamiltonian
 from spindiode.liouville import DissipatorKind, DissipatorSpec, Liouvillian, assemble_liouvillian
 from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34
+from spindiode.observables import evaluate_diode
 from spindiode.spinops import coupling_zz, exchange_xx, product_state
 from spindiode.steadystate import (
     convergence_fidelity,
@@ -137,6 +138,13 @@ def test_fast_solver_refuses_degenerate_null_space():
     L = boundary_driven(0.0, hot=6, cold=1)
     with pytest.raises(RuntimeError, match="degenerate"):
         steady_state_solve(L)
+
+
+def test_failed_factorization_is_reported_as_a_degenerate_steady_state():
+    """Without baths L is coherent only: SuperLU fails on the 924 block, and the error names it."""
+    spec = ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=0.01, J34=critical_j34(5.0))
+    with pytest.raises(RuntimeError, match=r"924 x 924 block\) is singular.*use steady_states\(\)"):
+        evaluate_diode(spec, gamma=0.0)
 
 
 @pytest.mark.parametrize("mode", ["spin", "fermion"])

@@ -112,6 +112,13 @@ def test_non_finite_bath_temperature_lands_in_the_error_column():
     assert errs[1] == ""
 
 
+def test_failed_factorization_lands_in_the_error_column():
+    (row,) = run_sweep(SweepConfig.from_json(small_config(axes=[["gamma", [0.0]]], coupled={}))).rows
+    assert all(math.isnan(v) for v in row[1:-1])
+    assert row[-1].startswith("RuntimeError: trace-constrained system (924 x 924 block) is singular")
+    assert row[-1].endswith("use steady_states() instead")
+
+
 def test_worker_pool_matches_serial():
     cfg = SweepConfig.from_json(small_config())
     serial = run_sweep(cfg)
