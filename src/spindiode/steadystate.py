@@ -3,8 +3,9 @@
 Steady states are null vectors of the Liouvillian.  Two routes are
 provided, trading generality for speed:
 
-* a shift-inverted Arnoldi solve for the handful of eigenvalues nearest
-  zero (:func:`steady_states`: degeneracy counting at every size),
+* a shift-inverted Arnoldi solve for the eigenvalues nearest zero, as
+  many as the null space needs (:func:`steady_states`: degeneracy
+  counting at every size),
 * a trace-constrained sparse linear solve (:func:`steady_state_solve`:
   fastest; valid only when the steady state is unique, which it is for
   delta != 0).
@@ -45,8 +46,6 @@ __all__ = [
 
 # a null eigenvalue has |lambda| below this fraction of the spectral scale
 _NULL_RTOL = 1e-9
-# eigenvalues nearest zero that ARPACK computes (at most dim - 2)
-_N_EIGS = 8
 
 
 @dataclass
@@ -94,27 +93,34 @@ def _orthonormal_span(mats: list[np.ndarray], tol: float) -> list[np.ndarray]:
     return [(v[:n] + 1j * v[n:]).reshape(mats[0].shape) for v in vt[s > tol]]
 
 
+def _splu(A: sp.spmatrix):
+    """SuperLU in symmetric mode: L's pattern is nearly symmetric, so it fills less than COLAMD."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+
+
 def _eigs_near_zero(M: sp.spmatrix, k: int, scale: float, **kwargs):
     """``spla.eigs`` for the k eigenvalues of M nearest zero (shift-invert).
 
-    M is L's matrix or an invariant block of it.  The factorization of
-    M - 0*I can fail since M is singular; the retry nudges the shift
-    into the open left half plane.
+    M is L's matrix or an invariant block of it, so every eigenvalue has Re <= 0:
+    the one shift sigma = 1e-6 * max(scale, 1) keeps M - sigma*I nonsingular, and
+    the eigenvalues carry errors ~eps * sigma.  ``ncv`` grows with k, as scipy's
+    default max(2k + 1, 20) stalls ARPACK on exactly degenerate spectra at k = 16.
     """
-    try:
-        return spla.eigs(M.tocsc(), k=k, sigma=0.0, which="LM", **kwargs)
-    except RuntimeError:
-        return spla.eigs(M.tocsc(), k=k, sigma=-1e-6 * max(scale, 1.0), which="LM", **kwargs)
+    n, sigma = M.shape[0], 1e-6 * max(scale, 1.0)
+    lu = _splu(M - sigma * sp.eye(n, dtype=M.dtype))
+    return spla.eigs(M, k=k, sigma=sigma, which="LM", ncv=min(n, max(20, 3 * k)),
+                     OPinv=spla.LinearOperator(M.shape, lu.solve, dtype=M.dtype), **kwargs)
 
 
 def steady_states(L: Liouvillian, method: str = "arnoldi") -> SteadyStateResult:
     """Steady state(s) of L via its eigenvalues nearest zero.
 
-    A shift-inverted Arnoldi solve on the full (complex) L finds the 8
-    eigenvalues nearest zero (at most dim - 2); those below 1e-9 times the
-    infinity norm of L (a cheap upper bound on the largest eigenvalue
-    magnitude) are null.  ``method`` accepts only ``"arnoldi"``.  The
-    fixed space of a Lindbladian is closed under dagger, so the Hermitian
+    A shift-inverted Arnoldi solve on the full (complex) L finds the 4
+    eigenvalues nearest zero; those below 1e-9 times the infinity norm of
+    L (a cheap upper bound on the largest eigenvalue magnitude) are null.
+    While all of them are null the count doubles and the solve repeats, up
+    to ARPACK's limit of dim - 2.  ``method`` accepts only ``"arnoldi"``.
+    The fixed space of a Lindbladian is closed under dagger, so the Hermitian
     parts M + M^dag and i(M - M^dag) of the raw null vectors span it over
     the reals; they are remixed into an orthonormal Hermitian basis before
     states are extracted, so the output does not depend on the arbitrary
@@ -126,9 +132,13 @@ def steady_states(L: Liouvillian, method: str = "arnoldi") -> SteadyStateResult:
         raise ValueError(f"unknown method {method!r}")
     scale = spla.norm(L.matrix, np.inf)  # bounds every |eigenvalue| of L
     null_tol = _NULL_RTOL * max(scale, 1.0)
-    k = min(_N_EIGS, L.dim - 2)
-    w, vr = _eigs_near_zero(L.matrix, k, scale, v0=np.ones(L.dim))
-    null_idx = np.flatnonzero(np.abs(w) < null_tol)
+    k = min(4, L.dim - 2)
+    while True:
+        w, vr = _eigs_near_zero(L.matrix, k, scale, v0=np.ones(L.dim))
+        null_idx = np.flatnonzero(np.abs(w) < null_tol)
+        if len(null_idx) < k or k == L.dim - 2:
+            break
+        k = min(2 * k, L.dim - 2)
     if len(null_idx) == k:
         warnings.warn(
             f"all {k} computed eigenvalues lie below null_tol; degeneracy may be undercounted",
@@ -232,9 +242,8 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     A = sp.csr_matrix((np.r_[np.ones(pop.size), R.data[h:]], np.r_[pop, R.indices[h:]],
                        np.r_[0, R.indptr[1:] - h + pop.size]), shape=(n, n)).tocsc()
     b = np.r_[1.0, np.zeros(n - 1)]
-    # symmetric mode (A's pattern is nearly symmetric): less fill than COLAMD
     try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+        lu = _splu(A)
     except RuntimeError as exc:  # SuperLU: a failed or exactly singular factorization
         raise RuntimeError(
             f"trace-constrained system ({n} x {n} block) is singular, its LU factorization failed; "

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
+from spindiode import steadystate
+from spindiode.globalbath import ThermalBathSpec, assemble_global_liouvillian
 from spindiode.jordanwigner import build_jw_hamiltonian
-from spindiode.liouville import DissipatorKind, DissipatorSpec, Liouvillian, assemble_liouvillian
+from spindiode.liouville import DissipatorKind, DissipatorSpec, Liouvillian, assemble_liouvillian, reachable
 from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34
 from spindiode.observables import evaluate_diode
 from spindiode.spinops import coupling_zz, exchange_xx, product_state
 from spindiode.steadystate import (
+    _eigs_near_zero,
     convergence_fidelity,
     spectrum,
     steady_state_solve,
@@ -100,6 +104,55 @@ def test_steady_states_when_the_last_row_of_L_is_empty():
         res = steady_states(L)
     assert res.degeneracy == 2
     assert np.abs(res.rho_ss.matrix - 0.5 * np.eye(2)).max() < 1e-12
+
+
+def dephased(n, sites):
+    """No Hamiltonian, sigma_z dephasing on ``sites``; a zero-rate ladder sizes the register."""
+    channels = [DissipatorSpec(site=s, gamma=1.0, kind=DissipatorKind.DEPHASE_T2) for s in sites]
+    return assemble_liouvillian(None, channels + [DissipatorSpec(site=n, gamma=0.0, lam=0.0)])
+
+
+@pytest.mark.parametrize("n, sites", [(3, (1, 2)), (3, (1, 2, 3)), (2, (1, 2))])
+def test_degeneracy_is_counted_past_the_first_eigenvalues(n, sites):
+    # dense nullities 16, 8 and 4: each fills the first 4 eigenvalues, so the count must grow
+    L = dephased(n, sites)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = steady_states(L)
+    assert res.degeneracy == la.null_space(L.dense()).shape[1]
+    assert not [w for w in caught if "undercounted" in str(w.message)]
+
+
+def test_steady_states_grows_its_eigenvalue_count_only_when_needed(monkeypatch):
+    calls, eigs = [], steadystate.spla.eigs
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(steadystate.spla, "eigs", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert steady_states(boundary_driven(0.0, hot=6, cold=1)).degeneracy == 2
+        assert len(calls) == 1
+        calls.clear()
+        assert steady_states(dephased(3, (1, 2))).degeneracy == 16
+    assert calls == [4, 8, 16, 32]  # doubled while every computed eigenvalue was null
+
+
+def test_arbitration_margins_around_the_threshold():
+    """The slow heat mode stays above the 1e-15 arbitration threshold, a second null vector far below."""
+
+    def second_eigenvalue(L):
+        R, _ = L.restrict(reachable(L, np.arange(0, L.dim, L.hilbert_dim + 1)))
+        scale = spla.norm(L.matrix, np.inf)
+        w = _eigs_near_zero(R, 4, scale, v0=np.ones(R.shape[0]), return_eigenvectors=False)
+        return np.sort(np.abs(w))[1] / scale
+
+    H = build_hamiltonian(ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=10.0, J34=11.3))
+    heat, _ = assemble_global_liouvillian(H, [ThermalBathSpec(1, 0.1, 1.0), ThermalBathSpec(6, 10.1, 1.0)])
+    assert second_eigenvalue(heat) >= 5e-15  # measured 9.5e-15
+    assert second_eigenvalue(boundary_driven(0.0, hot=6, cold=1)) <= 1e-16  # measured 3.2e-18
 
 
 def test_steady_states_accepts_only_arnoldi():
