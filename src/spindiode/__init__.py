@@ -57,7 +57,6 @@ from .steadystate import (
     convergence_fidelity,
 )
 from .observables import (
-    BiasSetup,
     DiodeMetrics,
     spin_current_op,
     rectification,

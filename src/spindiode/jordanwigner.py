@@ -17,15 +17,15 @@ as the rectification are unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 # assemble_liouvillian and steady_state_solve are unused; bench/tracer.py patches them here
-from .liouville import DissipatorKind, DissipatorSpec, assemble_liouvillian  # noqa: F401
-from .models import ModelSpec, Variant
-from .observables import DiodeMetrics, diode_metrics
-from .spinops import SIGMA_MINUS, SIGMA_Z, Operator, site_operator
+from .liouville import DissipatorKind, assemble_liouvillian  # noqa: F401
+from .models import ModelSpec, Variant, current_bonds
+from .observables import DiodeMetrics, bias_dissipators, diode_metrics
+from .spinops import Operator, _jw_annihilator
 from .steadystate import steady_state_solve  # noqa: F401
 
 __all__ = [
@@ -45,27 +45,14 @@ class FermionOps:
     a: tuple[Operator, ...]
     number_ops: tuple[Operator, ...]
 
-    def __getitem__(self, idx: int) -> Operator:
-        return self.a[idx]
-
-    def __len__(self) -> int:
-        return len(self.a)
-
 
 def jw_fermions(n_sites: int) -> FermionOps:
     """String-attached fermion operators a_n = (prod_{k<n} -sigma_z^(k)) sigma_-^(n)."""
     if n_sites < 1:
         raise ValueError("need at least one site")
-    dim = 2**n_sites
-    string = np.eye(dim, dtype=complex)
-    ops = []
-    nums = []
-    for n in range(1, n_sites + 1):
-        lower = site_operator(n_sites, n, SIGMA_MINUS).matrix
-        ops.append(Operator(string @ lower))
-        nums.append(Operator(lower.conj().T @ lower))
-        string = string @ (-site_operator(n_sites, n, SIGMA_Z).matrix)
-    return FermionOps(n_sites=n_sites, a=tuple(ops), number_ops=tuple(nums))
+    a = [_jw_annihilator(n_sites, n) for n in range(1, n_sites + 1)]
+    nums = tuple(Operator(m.conj().T @ m) for m in a)
+    return FermionOps(n_sites=n_sites, a=tuple(map(Operator, a)), number_ops=nums)
 
 
 def _hop(f: FermionOps, m: int, n: int) -> np.ndarray:
@@ -112,20 +99,15 @@ def fermionic_current_op(f: FermionOps, i: int, j: int) -> Operator:
 
 
 def fermionic_current_metrics(spec: ModelSpec, gamma: float = 1.0) -> DiodeMetrics:
-    """Rectification of the fermionic chain under a_1 / a_6 ladder baths.
+    """Rectification of the fermionic chain under the baths of :func:`bias_dissipators`.
 
-    Forward bias fills from site 1 (lam = 0.5) and drains at site 6
-    (lam = 0); reverse bias swaps the roles.  Currents are measured on
-    the first and last bond and averaged, as in the spin evaluation.
+    Each ladder bath acts with a_n in place of sigma_-^(n): forward bias
+    fills from site 1 (lam = 0.5) and drains at site 6 (lam = 0), reverse
+    bias swaps the roles.  Currents are measured on the first and last
+    bond and averaged, as in the spin evaluation.
     """
     H = build_jw_hamiltonian(spec)
     f = jw_fermions(6)
-    ops = [fermionic_current_op(f, 1, 2), fermionic_current_op(f, 5, 6)]
-    biases = [
-        [
-            DissipatorSpec(site=1, gamma=gamma, lam=lam1, kind=DissipatorKind.FERMION_LADDER),
-            DissipatorSpec(site=6, gamma=gamma, lam=lam6, kind=DissipatorKind.FERMION_LADDER),
-        ]
-        for lam1, lam6 in ((0.5, 0.0), (0.0, 0.5))
-    ]
+    ops = [fermionic_current_op(f, *bond) for bond in current_bonds(spec)]
+    biases = [[replace(d, kind=DissipatorKind.FERMION_LADDER) for d in ds] for ds in bias_dissipators(spec, gamma)]
     return diode_metrics(H, biases, ops)

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .spinops import SIGMA_MINUS, SIGMA_Z, Operator, StateVector, _as_matrix, site_operator
+from .spinops import SIGMA_MINUS, SIGMA_Z, Operator, StateVector, _as_matrix, _jw_annihilator, site_operator
 
 __all__ = [
     "DissipatorKind",
@@ -153,17 +153,14 @@ def _superop(H, jumps, dim: int) -> sp.csr_matrix:
 def _jumps(dissipators, n_sites: int):
     """Jump table of the local channels; the one place that knows the DissipatorKinds.
 
-    A ladder applies X' at rate gamma*lam and X at gamma*(1-lam); fermions are built once per call.
+    A ladder applies X' at rate gamma*lam and X at gamma*(1-lam).
     """
-    fermions, pairs = None, []
+    pairs = []
     for s in dissipators:
         if s.site > n_sites:
             raise ValueError(f"site {s.site} out of range for {n_sites} sites")
         if s.kind is DissipatorKind.FERMION_LADDER:
-            from .jordanwigner import jw_fermions  # deferred: jordanwigner imports this module
-
-            fermions = jw_fermions(n_sites) if fermions is None else fermions
-            X = fermions[s.site - 1].matrix
+            X = _jw_annihilator(n_sites, s.site)
         else:
             local = SIGMA_Z if s.kind is DissipatorKind.DEPHASE_T2 else SIGMA_MINUS
             X = site_operator(n_sites, s.site, local).matrix
@@ -221,7 +218,8 @@ class Liouvillian:
         Q is the sparse unitary whose columns, in ``idx`` order, are e_k for a
         population k and (e_rc + e_cr)/sqrt(2), i(e_rc - e_cr)/sqrt(2) for a pair
         r < c.  As L maps Hermitian matrices to Hermitian ones, R = Q^dag L[idx][:, idx] Q
-        is real CSR.  ValueError unless ``idx`` is closed under (r, c) -> (c, r)."""
+        is real CSR.  ValueError unless ``idx`` is closed under (r, c) -> (c, r) and the
+        imaginary part of R stays within 1e-12 of its largest entry."""
         idx = np.asarray(idx, dtype=np.int64)
         n, d, ar = idx.size, self.hilbert_dim, np.arange(idx.size)
         col, row = np.divmod(idx, d)
@@ -234,7 +232,10 @@ class Liouvillian:
         s, sides = np.sqrt(0.5), [row < col, row > col]
         own, far = np.select(sides, [s, -1j * s], 1.0), np.select(sides, [s, 1j * s], 0.0)
         Q = sp.csr_matrix((np.r_[own, far[p]], (np.r_[ar, ar], np.r_[ar, p])), shape=(n, n))
-        R = (Q.conj().T @ self.matrix[idx][:, idx] @ Q).real.tocsr()
+        B = Q.conj().T @ self.matrix[idx][:, idx] @ Q
+        if B.nnz and np.abs(B.data.imag).max() > 1e-12 * np.abs(B.data).max():
+            raise ValueError("L does not preserve Hermiticity: its block is not real in Hermitian coordinates")
+        R = B.real.tocsr()
         R.eliminate_zeros()
         return R, Q
 
@@ -246,13 +247,15 @@ def assemble_liouvillian(H, dissipators) -> Liouvillian:
     """Build L = -i[H, .] + sum of local dissipator channels.
 
     ``H`` may be None for purely dissipative evolution; otherwise it must
-    be square with a power-of-two dimension.  All dissipator sites must
-    fit the Hamiltonian register.
+    be Hermitian (to 1e-10) and square with a power-of-two dimension.
+    All dissipator sites must fit the Hamiltonian register.
     """
     dissipators = tuple(dissipators)
     if H is None and not dissipators:
         raise ValueError("need a Hamiltonian or at least one dissipator")
     Hm = None if H is None else (H if isinstance(H, Operator) else Operator(H)).matrix
+    if Hm is not None and np.max(np.abs(Hm - Hm.conj().T)) > 1e-10:
+        raise ValueError("H must be Hermitian")
     dim = 2 ** max(d.site for d in dissipators) if H is None else Hm.shape[0]
     return Liouvillian(_superop(Hm, _jumps(dissipators, dim.bit_length() - 1), dim))
 

@@ -11,7 +11,7 @@ the reverse current vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .spinops import SIGMA_X, SIGMA_Y, SIGMA_Z, Operator, StateVector, _as_matri
 from .steadystate import SteadyStateResult, steady_state_solve
 
 __all__ = [
-    "BiasSetup",
     "DiodeMetrics",
     "spin_current_op",
     "rectification",
@@ -35,30 +34,6 @@ __all__ = [
     "diode_metrics",
     "evaluate_diode",
 ]
-
-
-@dataclass(frozen=True)
-class BiasSetup:
-    """Bath placement for one bias direction."""
-
-    hot_site: int
-    cold_site: int
-    gamma: float
-    lambda_hot: float = 0.5
-    lambda_cold: float = 0.0
-
-    def __post_init__(self):
-        if self.hot_site == self.cold_site:
-            raise ValueError("hot and cold baths must sit on different sites")
-
-    def dissipators(self) -> list[DissipatorSpec]:
-        return [
-            DissipatorSpec(site=self.hot_site, gamma=self.gamma, lam=self.lambda_hot),
-            DissipatorSpec(site=self.cold_site, gamma=self.gamma, lam=self.lambda_cold),
-        ]
-
-    def swapped(self) -> "BiasSetup":
-        return replace(self, hot_site=self.cold_site, cold_site=self.hot_site)
 
 
 @dataclass
@@ -175,17 +150,22 @@ def bias_dissipators(
 ) -> tuple[list[DissipatorSpec], list[DissipatorSpec]]:
     """Forward and reverse channel lists of a spin-chain variant.
 
-    Each starts with the hot and cold ladder baths on the chain ends
-    (hot first), followed by the ShadowCorrected shadow-qubit decay at
-    rate spec.gamma_S and then ``extra_dissipators`` unchanged.
+    Each starts with the hot (lam = 0.5) and cold (lam = 0) ladder baths
+    on the chain ends, hot first: forward bias puts the hot bath on the
+    first end of :func:`chain_ends`, reverse bias on the last.  Then come
+    the ShadowCorrected shadow-qubit decay at rate spec.gamma_S and
+    ``extra_dissipators`` unchanged.  The fermionic chain takes the same
+    lists with fermion ladders in place of spin ladders.
     """
     first, last = chain_ends(spec)
     shadow = []
     if spec.variant is Variant.SHADOW_CORRECTED:
         shadow = [DissipatorSpec(site=7, gamma=spec.gamma_S, kind=DissipatorKind.DECAY_T1)]
     fixed = shadow + list(extra_dissipators)
-    forward = BiasSetup(hot_site=first, cold_site=last, gamma=gamma)
-    return forward.dissipators() + fixed, forward.swapped().dissipators() + fixed
+    return tuple(
+        [DissipatorSpec(site=hot, gamma=gamma, lam=0.5), DissipatorSpec(site=cold, gamma=gamma, lam=0.0)] + fixed
+        for hot, cold in ((first, last), (last, first))
+    )
 
 
 def solve_bias(H, dissipators, current_ops) -> tuple[SteadyStateResult, float, float]:

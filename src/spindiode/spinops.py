@@ -194,6 +194,12 @@ def site_operator(n_sites: int, site: int, local) -> Operator:
     return Operator(out)
 
 
+def _jw_annihilator(n_sites: int, site: int) -> np.ndarray:
+    """Jordan-Wigner a_site = diag((-1)^(up spins on sites < site)) sigma_-^(site), dense."""
+    signs = np.where(np.bitwise_count(np.arange(2**n_sites) >> (n_sites - site + 1)) & 1, -1.0, 1.0)
+    return signs[:, None] * site_operator(n_sites, site, SIGMA_MINUS).matrix
+
+
 def exchange_xx(n_sites: int, i: int, j: int) -> Operator:
     """XX exchange between sites i and j.
 

@@ -98,18 +98,19 @@ def _splu(A: sp.spmatrix):
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
 
 
-def _eigs_near_zero(M: sp.spmatrix, k: int, scale: float, **kwargs):
-    """``spla.eigs`` for the k eigenvalues of M nearest zero (shift-invert).
+def _eigs_near_zero(M: sp.spmatrix, scale: float):
+    """``eigs(k, **kwargs)``: ``spla.eigs`` for the k eigenvalues of M nearest zero (shift-invert).
 
     M is L's matrix or an invariant block of it, so every eigenvalue has Re <= 0:
     the one shift sigma = 1e-6 * max(scale, 1) keeps M - sigma*I nonsingular, and
-    the eigenvalues carry errors ~eps * sigma.  ``ncv`` grows with k, as scipy's
-    default max(2k + 1, 20) stalls ARPACK on exactly degenerate spectra at k = 16.
+    the eigenvalues carry errors ~eps * sigma.  M - sigma*I is factored here, once
+    for every k.  ``ncv`` grows with k, as scipy's default max(2k + 1, 20) stalls
+    ARPACK on exactly degenerate spectra at k = 16.
     """
     n, sigma = M.shape[0], 1e-6 * max(scale, 1.0)
-    lu = _splu(M - sigma * sp.eye(n, dtype=M.dtype))
-    return spla.eigs(M, k=k, sigma=sigma, which="LM", ncv=min(n, max(20, 3 * k)),
-                     OPinv=spla.LinearOperator(M.shape, lu.solve, dtype=M.dtype), **kwargs)
+    OPinv = spla.LinearOperator(M.shape, _splu(M - sigma * sp.eye(n, dtype=M.dtype)).solve, dtype=M.dtype)
+    return lambda k, **kwargs: spla.eigs(M, k=k, sigma=sigma, which="LM", ncv=min(n, max(20, 3 * k)),
+                                         OPinv=OPinv, **kwargs)
 
 
 def steady_states(L: Liouvillian, method: str = "arnoldi") -> SteadyStateResult:
@@ -132,9 +133,9 @@ def steady_states(L: Liouvillian, method: str = "arnoldi") -> SteadyStateResult:
         raise ValueError(f"unknown method {method!r}")
     scale = spla.norm(L.matrix, np.inf)  # bounds every |eigenvalue| of L
     null_tol = _NULL_RTOL * max(scale, 1.0)
-    k = min(4, L.dim - 2)
+    k, eigs = min(4, L.dim - 2), _eigs_near_zero(L.matrix, scale)
     while True:
-        w, vr = _eigs_near_zero(L.matrix, k, scale, v0=np.ones(L.dim))
+        w, vr = eigs(k, v0=np.ones(L.dim))
         null_idx = np.flatnonzero(np.abs(w) < null_tol)
         if len(null_idx) < k or k == L.dim - 2:
             break
@@ -263,7 +264,7 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     gain = float(np.linalg.norm(lu.solve(probe))) * scale
     if gain > 1e10:
         sscale = spla.norm(L.matrix, np.inf)
-        w = _eigs_near_zero(R, min(4, n - 2), sscale, v0=np.ones(n), return_eigenvectors=False)
+        w = _eigs_near_zero(R, sscale)(min(4, n - 2), v0=np.ones(n), return_eigenvectors=False)
         second = float(np.sort(np.abs(w))[1])
         # a true second null vector resolves at ~1e-18 of scale, the
         # slowest observed physical mode at ~1e-14 of scale (h = 10: 9.5e-15)

@@ -213,18 +213,18 @@ class SweepTable:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepTable":
+        """Read an :func:`export` JSON document: a null cell is NaN unless flagged infinite."""
         doc = json.loads(text)
-        header = doc["header"]
-        rows = []
-        for obj in doc["rows"]:
-            row = []
-            for name in header:
-                v = obj[name]
-                if v is None and obj.get(f"{name}_infinite"):
-                    v = math.inf
-                row.append(v)
-            rows.append(row)
-        return cls(header=header, rows=rows, provenance=doc["provenance"])
+
+        def cell(obj, name):
+            if obj[name] is not None:
+                return obj[name]
+            if obj.get(f"{name}_negative_infinite"):
+                return -math.inf
+            return math.inf if obj.get(f"{name}_infinite") else math.nan
+
+        rows = [[cell(obj, name) for name in doc["header"]] for obj in doc["rows"]]
+        return cls(header=doc["header"], rows=rows, provenance=doc["provenance"])
 
 
 def _point_model(config: SweepConfig, params: dict[str, float]) -> tuple[ModelSpec, BathConfig]:
@@ -340,7 +340,11 @@ def _format_cell(v) -> str:
 
 
 def export(table: SweepTable, fmt: str, path) -> Path:
-    """Write a table as CSV (17 significant digits) or JSON row objects."""
+    """Write a table as CSV (17 significant digits) or JSON row objects.
+
+    In JSON a NaN cell is null, +inf is null with ``"<col>_infinite": true``
+    and -inf is null with ``"<col>_negative_infinite": true``.
+    """
     if not table.rows:
         raise ValueError("refusing to export an empty table")
     path = Path(path)
@@ -358,13 +362,10 @@ def export(table: SweepTable, fmt: str, path) -> Path:
         for row in table.rows:
             obj = {}
             for name, v in zip(table.header, row):
+                # JSON has no inf or nan: both become null, an infinity with a flag
+                obj[name] = None if isinstance(v, float) and not math.isfinite(v) else v
                 if isinstance(v, float) and math.isinf(v):
-                    obj[name] = None
-                    obj[f"{name}_infinite"] = True
-                elif isinstance(v, float) and math.isnan(v):
-                    obj[name] = None
-                else:
-                    obj[name] = v
+                    obj[f"{name}_infinite" if v > 0 else f"{name}_negative_infinite"] = True
             out_rows.append(obj)
         doc = {"header": table.header, "rows": out_rows, "provenance": table.provenance}
         with open(path, "w") as fh:

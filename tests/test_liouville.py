@@ -34,8 +34,11 @@ from spindiode.observables import bias_dissipators
 from spindiode.spinops import (
     SIGMA_MINUS,
     SIGMA_PLUS,
+    SIGMA_X,
     SIGMA_Z,
     Operator,
+    _jw_annihilator,
+    exchange_xx,
     product_state,
     site_operator,
     standard_initial_states,
@@ -167,10 +170,23 @@ def test_assembly_rejects_hamiltonian_of_bad_shape(H):
         assemble_liouvillian(H, [DissipatorSpec(site=1, gamma=1.0)])
 
 
+def test_assembly_rejects_non_hermitian_hamiltonian():
+    # -i(H rho - rho H^dag) is no commutator; left through, the steady-state solve blames degeneracy
+    H = exchange_xx(3, 1, 2) + exchange_xx(3, 2, 3) + 0.3j * site_operator(3, 1, SIGMA_X)
+    with pytest.raises(ValueError, match="Hermitian"):
+        assemble_liouvillian(H, [DissipatorSpec(site=1, gamma=1.0, lam=0.5), DissipatorSpec(site=3, gamma=1.0)])
+
+
+def string_fermion(n, site):
+    """a_site = (prod_{k<site} -sigma_z^(k)) sigma_-^(site), as a product of dense site operators."""
+    a = site_operator(n, site, SIGMA_MINUS).matrix
+    for k in range(1, site):
+        a = -site_operator(n, k, SIGMA_Z).matrix @ a
+    return a
+
+
 def channel_jumps(spec: DissipatorSpec, n):
     """(jump, rate) pairs of one channel, written out kind by kind."""
-    from spindiode.jordanwigner import jw_fermions
-
     g, lam, site = spec.gamma, spec.lam, spec.site
     if spec.kind is DissipatorKind.DECAY_T1:
         return [(site_operator(n, site, SIGMA_MINUS).matrix, g)]
@@ -178,7 +194,7 @@ def channel_jumps(spec: DissipatorSpec, n):
         return [(site_operator(n, site, SIGMA_Z).matrix, g)]
     if spec.kind is DissipatorKind.SPIN_LADDER:
         return ladder_jumps(spec, n)
-    a = jw_fermions(n).a[site - 1].matrix
+    a = string_fermion(n, site)
     return [(a.conj().T, g * lam), (a, g * (1 - lam))]
 
 
@@ -246,15 +262,16 @@ def test_six_spin_heat_pattern_sizes(h, nnz):
     assert np.all(L.matrix.data != 0)
 
 
-def test_fermions_built_once_per_assembly(monkeypatch):
-    from spindiode import jordanwigner
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+def test_fermion_sign_rule_equals_string_product(n):
+    """The sign rule behind the fermion ladders and jw_fermions equals the string product entry for entry."""
+    from spindiode.jordanwigner import jw_fermions
 
-    calls = []
-    build = jordanwigner.jw_fermions
-    monkeypatch.setattr(jordanwigner, "jw_fermions", lambda n: calls.append(n) or build(n))
-    ladders = [DissipatorSpec(site=s, gamma=1.0, lam=0.5, kind=DissipatorKind.FERMION_LADDER) for s in (1, 2, 3)]
-    assemble_liouvillian(None, ladders)
-    assert calls == [3]
+    f = jw_fermions(n)
+    for site in range(1, n + 1):
+        want = string_fermion(n, site)
+        assert np.array_equal(_jw_annihilator(n, site), want)
+        assert np.array_equal(f.a[site - 1].matrix, want)
 
 
 def test_local_dissipator_modes():
@@ -304,14 +321,11 @@ def test_decoherence_channels_rates():
 
 def test_fermion_ladder_dissipator():
     # fermionic jump at an interior site carries the parity string
-    from spindiode.jordanwigner import jw_fermions
-
     rng = np.random.default_rng(17)
     n = 4
-    f = jw_fermions(n)
     spec = DissipatorSpec(site=3, gamma=0.8, lam=0.3, kind=DissipatorKind.FERMION_LADDER)
     S = local_dissipator_superop(spec, n)
-    a = f.a[2].matrix
+    a = string_fermion(n, 3)
     rho = random_density(rng, 16)
     want = brute_force_rhs(None, [(a.conj().T, 0.8 * 0.3), (a, 0.8 * 0.7)], rho)
     assert_allclose(unvectorize(S @ vectorize(rho)), want, atol=1e-13)
@@ -319,8 +333,6 @@ def test_fermion_ladder_dissipator():
 
 def toy_chain_liouvillian(n=3):
     """Small boundary-driven XX chain for oracle comparisons."""
-    from spindiode.spinops import exchange_xx
-
     H = exchange_xx(n, 1, 2)
     for k in range(2, n):
         H = H + exchange_xx(n, k, k + 1)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spindiode.liouville import DissipatorSpec, assemble_liouvillian, unvectorize, vectorize
+from spindiode.liouville import DissipatorKind, DissipatorSpec, assemble_liouvillian, unvectorize, vectorize
 from spindiode.models import ModelSpec, Variant, critical_j34
 from spindiode.observables import (
-    BiasSetup,
+    bias_dissipators,
     bond_current,
     concurrence,
     contrast,
@@ -151,13 +151,17 @@ def test_concurrence_oracles():
 
 
 def test_bias_setup():
-    fwd = BiasSetup(hot_site=1, cold_site=6, gamma=2.0)
-    rev = fwd.swapped()
-    assert (rev.hot_site, rev.cold_site) == (6, 1)
-    ds = fwd.dissipators()
-    assert [(d.site, d.gamma, d.lam) for d in ds] == [(1, 2.0, 0.5), (6, 2.0, 0.0)]
-    with pytest.raises(ValueError):
-        BiasSetup(hot_site=3, cold_site=3, gamma=1.0)
+    """bias_dissipators puts the hot bath first, on the first chain end under forward bias."""
+    spin = DissipatorKind.SPIN_LADDER
+    fwd, rev = bias_dissipators(ModelSpec(variant=Variant.DIODE), gamma=2.0)
+    assert [(d.site, d.gamma, d.lam, d.kind) for d in fwd] == [(1, 2.0, 0.5, spin), (6, 2.0, 0.0, spin)]
+    assert [(d.site, d.gamma, d.lam, d.kind) for d in rev] == [(6, 2.0, 0.5, spin), (1, 2.0, 0.0, spin)]
+    extra = [DissipatorSpec(site=3, gamma=0.1, kind=DissipatorKind.DEPHASE_T2)]
+    decay = DissipatorSpec(site=7, gamma=0.4, kind=DissipatorKind.DECAY_T1)
+    for ds in bias_dissipators(ModelSpec(variant=Variant.SHADOW_CORRECTED, gamma_S=0.4), 1.0, extra):
+        assert ds[2:] == [decay] + extra
+    fwd, rev = bias_dissipators(ModelSpec(variant=Variant.EXTENDED_XXZM))
+    assert [d.site for d in fwd] == [1, 7] and [d.site for d in rev] == [7, 1]
 
 
 def test_symmetric_chain_has_no_rectification():

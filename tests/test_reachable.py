@@ -20,8 +20,10 @@ from spindiode.jordanwigner import build_jw_hamiltonian
 from spindiode.liouville import (
     DissipatorKind,
     DissipatorSpec,
+    Liouvillian,
     assemble_liouvillian,
     decoherence_channels,
+    propagate,
     reachable,
     unvectorize,
 )
@@ -199,6 +201,18 @@ def test_restrict_refuses_index_set_not_closed_under_transposition():
     coherence = np.flatnonzero(idx % d != idx // d)[0]
     with pytest.raises(ValueError, match="transposition"):
         L.restrict(np.delete(idx, coherence))
+
+
+def test_restrict_refuses_a_generator_that_breaks_hermiticity():
+    """A random complex L has a complex block in Hermitian coordinates: its real part alone is a different generator."""
+    rng = np.random.default_rng(5)
+    L = Liouvillian(sp.csr_matrix(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))))
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        L.restrict(np.arange(16))
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        propagate(L, np.eye(4) / 4, [0.0, 1.0])
+    with pytest.raises(RuntimeError, match="population block: L does not preserve Hermiticity"):
+        steady_state_solve(L)
 
 
 def test_restricted_spectrum_matches_complex_block():

@@ -124,20 +124,23 @@ def test_degeneracy_is_counted_past_the_first_eigenvalues(n, sites):
 
 
 def test_steady_states_grows_its_eigenvalue_count_only_when_needed(monkeypatch):
-    calls, eigs = [], steadystate.spla.eigs
+    calls, lus, eigs, splu = [], [], steadystate.spla.eigs, steadystate.spla.splu
 
     def counting(*args, **kwargs):
         calls.append(kwargs["k"])
         return eigs(*args, **kwargs)
 
     monkeypatch.setattr(steadystate.spla, "eigs", counting)
+    monkeypatch.setattr(steadystate.spla, "splu", lambda A, **kwargs: lus.append(A.shape) or splu(A, **kwargs))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert steady_states(boundary_driven(0.0, hot=6, cold=1)).degeneracy == 2
-        assert len(calls) == 1
+        assert len(calls) == 1 and lus == [(4096, 4096)]
         calls.clear()
+        lus.clear()
         assert steady_states(dephased(3, (1, 2))).degeneracy == 16
     assert calls == [4, 8, 16, 32]  # doubled while every computed eigenvalue was null
+    assert lus == [(64, 64)]  # one factorization of L - sigma*I serves every k
 
 
 def test_arbitration_margins_around_the_threshold():
@@ -146,7 +149,7 @@ def test_arbitration_margins_around_the_threshold():
     def second_eigenvalue(L):
         R, _ = L.restrict(reachable(L, np.arange(0, L.dim, L.hilbert_dim + 1)))
         scale = spla.norm(L.matrix, np.inf)
-        w = _eigs_near_zero(R, 4, scale, v0=np.ones(R.shape[0]), return_eigenvectors=False)
+        w = _eigs_near_zero(R, scale)(4, v0=np.ones(R.shape[0]), return_eigenvectors=False)
         return np.sort(np.abs(w))[1] / scale
 
     H = build_hamiltonian(ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=10.0, J34=11.3))

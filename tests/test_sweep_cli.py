@@ -137,10 +137,22 @@ def test_export_roundtrip_json(tmp_path):
     for a, b in zip(back.rows, table.rows):
         for x, y in zip(a, b):
             if isinstance(y, float) and math.isnan(y):
-                assert x is None  # nan serializes as null without a flag
+                assert math.isnan(x)  # nan serializes as null without a flag
             else:
                 assert x == y
     assert back.provenance == table.provenance
+
+
+def test_json_roundtrip_keeps_non_finite_and_tiny_values(tmp_path):
+    header = ["pos", "neg", "nan", "tiny", "error"]
+    table = SweepTable(header=header, rows=[[math.inf, -math.inf, math.nan, 1e-300, "ValueError: bad"]],
+                       provenance={"version": "x"})
+    (row,) = SweepTable.from_json(export(table, "json", tmp_path / "t.json").read_text()).rows
+    assert row[:2] == [math.inf, -math.inf] and math.isnan(row[2])
+    assert row[3:] == [1e-300, "ValueError: bad"]
+    # files that flag only "<col>_infinite": true keep reading +inf
+    old = {"header": ["R"], "rows": [{"R": None, "R_infinite": True}], "provenance": {}}
+    assert SweepTable.from_json(json.dumps(old)).rows == [[math.inf]]
 
 
 def test_export_csv_and_inf(tmp_path):
