@@ -201,14 +201,6 @@ class Liouvillian:
         if self.hilbert_dim**2 != self.dim:
             raise ValueError(f"superoperator dimension {self.dim} is not a perfect square")
 
-    @property
-    def n_sites(self) -> int:
-        return self.hilbert_dim.bit_length() - 1
-
-    def apply(self, rho) -> np.ndarray:
-        """The map rho -> d rho/dt as a matrix."""
-        return unvectorize(self.matrix @ vectorize(rho))
-
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 

@@ -59,36 +59,31 @@ class Variant(Enum):
     LINEAR_REFERENCE = "LinearReference"
 
 
-_N_SITES = {
-    Variant.DIODE: 6,
-    Variant.DIODE_PERTURBED: 6,
-    Variant.FIELD_H1: 6,
-    Variant.SIGN_H2: 6,
-    Variant.HEAT_HQ: 6,
-    Variant.EXTENDED_MXX: 7,
-    Variant.EXTENDED_XXM: 7,
-    Variant.EXTENDED_XXZM: 7,
-    Variant.SHADOW_CORRECTED: 7,
-    Variant.LINEAR_REFERENCE: 5,
-}
+class _Layout(NamedTuple):
+    n_sites: int
+    knobs: set[str]  # the numeric fields that may leave their default
+    ends: tuple[int, int]  # the bath sites, hot end first under forward bias
 
-# which numeric fields may be nonzero for each variant
-_ACTIVE = {
-    Variant.DIODE: {"Delta", "delta", "J34"},
-    Variant.DIODE_PERTURBED: {"Delta", "delta", "J34", "h3", "h4", "delta_prime"},
-    Variant.FIELD_H1: {"delta", "J34", "h"},
-    Variant.SIGN_H2: {"delta", "J34", "h"},
-    Variant.HEAT_HQ: {"delta", "J34", "h", "omega_global"},
-    Variant.EXTENDED_MXX: {"Delta", "delta", "J34"},
-    Variant.EXTENDED_XXM: {"Delta", "delta", "J34"},
-    Variant.EXTENDED_XXZM: {"Delta", "delta", "J34"},
-    Variant.SHADOW_CORRECTED: {"Delta", "delta", "J34", "A", "omega_drive", "gamma_S"},
+
+_DIODE = {"Delta", "delta", "J34"}
+_FIELD = {"delta", "J34", "h"}
+_VARIANTS = {
+    Variant.DIODE: _Layout(6, _DIODE, (1, 6)),
+    Variant.DIODE_PERTURBED: _Layout(6, _DIODE | {"h3", "h4", "delta_prime"}, (1, 6)),
+    Variant.FIELD_H1: _Layout(6, _FIELD, (1, 6)),
+    Variant.SIGN_H2: _Layout(6, _FIELD, (1, 6)),
+    Variant.HEAT_HQ: _Layout(6, _FIELD | {"omega_global"}, (1, 6)),
+    Variant.EXTENDED_MXX: _Layout(7, _DIODE, (1, 7)),
+    Variant.EXTENDED_XXM: _Layout(7, _DIODE, (1, 7)),
+    Variant.EXTENDED_XXZM: _Layout(7, _DIODE, (1, 7)),
+    # the baths stay on the six-spin chain; the shadow qubit has its own decay channel
+    Variant.SHADOW_CORRECTED: _Layout(7, _DIODE | {"A", "omega_drive", "gamma_S"}, (1, 6)),
     # delta and J34 do not enter the reference chain (their bonds involve
     # the removed spin); Delta, h and omega_global are all allowed so the
     # chain can serve as reference for both the spin and the heat diode.
-    Variant.LINEAR_REFERENCE: {"Delta", "h", "omega_global", "delta", "J34"},
+    Variant.LINEAR_REFERENCE: _Layout(5, _DIODE | {"h", "omega_global"}, (1, 5)),
 }
-_KNOBS = set().union(*_ACTIVE.values())
+_KNOBS = set().union(*(layout.knobs for layout in _VARIANTS.values()))
 
 
 class Term(NamedTuple):
@@ -141,12 +136,12 @@ class ModelSpec:
 
     @property
     def n_sites(self) -> int:
-        return _N_SITES[self.variant]
+        return _VARIANTS[self.variant].n_sites
 
     def validate(self) -> None:
         if self.J != 1.0:
             raise ValueError(f"J is the unit of energy and must be 1.0, got {self.J}")
-        active = _ACTIVE[self.variant]
+        active = _VARIANTS[self.variant].knobs
         for f in dc_fields(self):
             value = getattr(self, f.name)
             items = value if isinstance(value, tuple) else (value,)
@@ -335,14 +330,7 @@ def restrict_to_sites(H: Operator, sites) -> Operator:
 
 def chain_ends(spec: ModelSpec) -> tuple[int, int]:
     """The two bath-coupled sites (hot end first under forward bias)."""
-    v = spec.variant
-    if v in (Variant.EXTENDED_MXX, Variant.EXTENDED_XXM, Variant.EXTENDED_XXZM):
-        return (1, 7)
-    if v is Variant.LINEAR_REFERENCE:
-        return (1, 5)
-    # ShadowCorrected keeps the baths on the six-spin chain; the shadow
-    # qubit has its own decay channel
-    return (1, 6)
+    return _VARIANTS[spec.variant].ends
 
 
 def current_bonds(spec: ModelSpec) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -21,15 +21,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .globalbath import evaluate_heat_diode
+from .globalbath import HeatDiodeMetrics, evaluate_heat_diode
 from .jordanwigner import fermionic_current_metrics
 from .liouville import decoherence_channels
 from .models import _KNOBS, ModelSpec, critical_j34, critical_j34_heat
-from .observables import concurrence, evaluate_diode, fidelity_pure
+from .observables import DiodeMetrics, concurrence, evaluate_diode, fidelity_pure
 from .spinops import bell_state, partial_trace
 
 __all__ = [
@@ -67,7 +68,7 @@ class BathConfig:
     secular_cutoff: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("spin", "heat", "fermion"):
+        if self.mode not in _MODES:
             raise ValueError(f"bath.mode must be spin, heat or fermion, got {self.mode!r}")
 
     @property
@@ -79,15 +80,33 @@ class BathConfig:
 _BATH_FIELDS = {f.name for f in dc_fields(BathConfig)} - {"mode"}
 
 
-_DIODE_OUTPUTS = ["J_f", "J_r", "R", "C", "continuity_f", "continuity_r"]
-_ENTANGLEMENT_OUTPUTS = ["F_psi_minus_34_r", "F_psi_plus_34_r", "concurrence_34_r"]
-_KNOWN_OUTPUTS = {
-    "spin": _DIODE_OUTPUTS + _ENTANGLEMENT_OUTPUTS,
-    "fermion": _DIODE_OUTPUTS,
-    "heat": ["K_f", "K_r", "R_Q", "balance_f", "balance_r"],
+class _Mode(NamedTuple):
+    record: type  # the metric record a point returns
+    extra_outputs: list[str]  # outputs computed from the record's states
+
+
+_MODES = {
+    "spin": _Mode(DiodeMetrics, ["F_psi_minus_34_r", "F_psi_plus_34_r", "concurrence_34_r"]),
+    "fermion": _Mode(DiodeMetrics, []),
+    "heat": _Mode(HeatDiodeMetrics, []),
 }
-# the currents and the rectification: J_f, J_r, R, C or K_f, K_r, R_Q
-_DEFAULT_OUTPUTS = {mode: names[: 3 if mode == "heat" else 4] for mode, names in _KNOWN_OUTPUTS.items()}
+
+
+def _columns(record: type) -> list[tuple[str, str, int | None]]:
+    """(column, field, index) per row cell: scalars keep their names, (forward, reverse) pairs become
+    ``<name>_f`` and ``<name>_r`` (index 0 and 1), states are skipped."""
+    out = []
+    for f in dc_fields(record):
+        if str(f.type).startswith("tuple"):
+            out += [(f"{f.name}_f", f.name, 0), (f"{f.name}_r", f.name, 1)]
+        elif "Operator" not in str(f.type):
+            out.append((f.name, f.name, None))
+    return out
+
+
+_KNOWN_OUTPUTS = {mode: [c for c, _, _ in _columns(m.record)] + m.extra_outputs for mode, m in _MODES.items()}
+# the scalar fields: the currents and the rectification
+_DEFAULT_OUTPUTS = {mode: [c for c, _, i in _columns(m.record) if i is None] for mode, m in _MODES.items()}
 
 
 @dataclass(frozen=True)
@@ -138,11 +157,9 @@ class SweepConfig:
 
     @staticmethod
     def _check_path(label: str, name: str) -> None:
-        if name in _KNOBS or name in _BATH_FIELDS:
-            return
-        if name.startswith("local_field_") and name[len("local_field_") :].isdigit():
-            return
-        raise ValueError(f"{label}: not a model or bath parameter")
+        local_field = name.startswith("local_field_") and name[len("local_field_") :].isdigit()
+        if not (local_field or name in _KNOBS or name in _BATH_FIELDS):
+            raise ValueError(f"{label}: not a model or bath parameter")
 
     def canonical_json(self) -> str:
         doc = {
@@ -255,27 +272,13 @@ def _evaluate_point(config: SweepConfig, params: dict[str, float]) -> dict[str, 
             gamma=bath.gamma,
             secular_cutoff=bath.secular_cutoff,
         )
-        return {
-            "K_f": m.K_f,
-            "K_r": m.K_r,
-            "R_Q": m.R_Q,
-            "balance_f": m.balance[0],
-            "balance_r": m.balance[1],
-        }
-    if bath.mode == "fermion":
+    elif bath.mode == "fermion":
         m = fermionic_current_metrics(spec, gamma=bath.gamma)
     else:
         extra = decoherence_channels(spec.n_sites, bath.T) if bath.T is not None else ()
         m = evaluate_diode(spec, gamma=bath.gamma, extra_dissipators=extra)
-    out = {
-        "J_f": m.J_f,
-        "J_r": m.J_r,
-        "R": m.R,
-        "C": m.C,
-        "continuity_f": m.continuity[0],
-        "continuity_r": m.continuity[1],
-    }
-    if set(config.outputs) & set(_ENTANGLEMENT_OUTPUTS):
+    out = {c: getattr(m, f) if i is None else getattr(m, f)[i] for c, f, i in _columns(type(m))}
+    if set(config.outputs) & set(_MODES[bath.mode].extra_outputs):
         # entanglement diagnostics live on the middle pair of the chain
         reduced = partial_trace(m.rho_r, keep=(3, 4))
         out["F_psi_minus_34_r"] = fidelity_pure(reduced, bell_state("psi-"))

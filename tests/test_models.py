@@ -362,12 +362,27 @@ def test_non_finite_local_field_is_named():
 
 
 def test_chain_ends_and_bonds():
-    assert chain_ends(ModelSpec(variant=Variant.DIODE)) == (1, 6)
-    assert chain_ends(ModelSpec(variant=Variant.EXTENDED_MXX)) == (1, 7)
-    assert chain_ends(ModelSpec(variant=Variant.LINEAR_REFERENCE)) == (1, 5)
-    assert chain_ends(ModelSpec(variant=Variant.SHADOW_CORRECTED)) == (1, 6)
-    assert current_bonds(ModelSpec(variant=Variant.DIODE)) == ((1, 2), (5, 6))
-    assert current_bonds(ModelSpec(variant=Variant.EXTENDED_XXM)) == ((1, 2), (6, 7))
+    # ShadowCorrected keeps its baths on the six-spin chain, off the shadow qubit 7
+    expected = {
+        Variant.DIODE: (1, 6),
+        Variant.DIODE_PERTURBED: (1, 6),
+        Variant.FIELD_H1: (1, 6),
+        Variant.SIGN_H2: (1, 6),
+        Variant.HEAT_HQ: (1, 6),
+        Variant.EXTENDED_MXX: (1, 7),
+        Variant.EXTENDED_XXM: (1, 7),
+        Variant.EXTENDED_XXZM: (1, 7),
+        Variant.SHADOW_CORRECTED: (1, 6),
+        Variant.LINEAR_REFERENCE: (1, 5),
+    }
+    assert set(expected) == set(Variant)
+    for variant, (first, last) in expected.items():
+        spec = ModelSpec(variant=variant)
+        assert chain_ends(spec) == (first, last)
+        assert current_bonds(spec) == ((first, first + 1), (last - 1, last))
+        # both current bonds are XX bonds of the Hamiltonian
+        bonds = {t.sites for t in build_hamiltonian(spec).terms if t.kind == "xx"}
+        assert {(first, first + 1), (last - 1, last)} <= bonds
 
 
 def test_restrict_to_sites_errors():

@@ -60,6 +60,19 @@ def test_digest_is_stable_and_sensitive():
     assert a.digest() != c.digest()
 
 
+def test_derived_output_lists():
+    from spindiode.sweep import _DEFAULT_OUTPUTS, _KNOWN_OUTPUTS
+
+    diode = ["J_f", "J_r", "R", "C", "continuity_f", "continuity_r"]
+    assert _KNOWN_OUTPUTS == {
+        "spin": diode + ["F_psi_minus_34_r", "F_psi_plus_34_r", "concurrence_34_r"],
+        "fermion": diode,
+        "heat": ["K_f", "K_r", "R_Q", "balance_f", "balance_r"],
+    }
+    assert _DEFAULT_OUTPUTS == {"spin": diode[:4], "fermion": diode[:4], "heat": ["K_f", "K_r", "R_Q"]}
+    assert SweepConfig.from_json(small_config(bath={"mode": "fermion"})).outputs == tuple(diode[:4])
+
+
 def test_hot_temperature_from_dT():
     bath = BathConfig(mode="heat", T_C=0.5, dT=3.0)
     assert bath.hot_temperature == pytest.approx(3.5)
