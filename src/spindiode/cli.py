@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -83,6 +84,8 @@ def _cmd_steady(args) -> int:
         spec = ModelSpec.from_json(raw)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"invalid model: {exc}") from None
+    if not (math.isfinite(args.gamma) and args.gamma >= 0):
+        raise ConfigError(f"--gamma must be finite and >= 0, got {args.gamma}")
 
     H = build_hamiltonian(spec)
     dissipators = bias_dissipators(spec, args.gamma)[0 if args.bias == "forward" else 1]

@@ -57,6 +57,8 @@ class BathConfig:
     site in spin mode.  In heat mode ``secular_cutoff`` is the width of the
     frequency clusters that share a jump (see ``ThermalBathSpec``); a
     non-finite temperature, gamma or cutoff fails its point with ValueError.
+    A field the mode does not read must keep its default, and ``dT``
+    cannot stand beside a non-default ``T_H``: both raise ValueError.
     """
 
     mode: str = "spin"
@@ -70,6 +72,12 @@ class BathConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"bath.mode must be spin, heat or fermion, got {self.mode!r}")
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if f.name not in _MODES[self.mode].bath_fields | {"mode"} and value != f.default:
+                raise ValueError(f"bath.{f.name}: {self.mode} mode does not read it (got {f.name}={value})")
+        if self.dT is not None and self.T_H != BathConfig.T_H:
+            raise ValueError(f"bath: dT and T_H={self.T_H} both set the hot temperature; give one")
 
     @property
     def hot_temperature(self) -> float:
@@ -82,13 +90,14 @@ _BATH_FIELDS = {f.name for f in dc_fields(BathConfig)} - {"mode"}
 
 class _Mode(NamedTuple):
     record: type  # the metric record a point returns
+    bath_fields: set[str]  # the BathConfig fields the mode reads
     extra_outputs: list[str]  # outputs computed from the record's states
 
 
 _MODES = {
-    "spin": _Mode(DiodeMetrics, ["F_psi_minus_34_r", "F_psi_plus_34_r", "concurrence_34_r"]),
-    "fermion": _Mode(DiodeMetrics, []),
-    "heat": _Mode(HeatDiodeMetrics, []),
+    "spin": _Mode(DiodeMetrics, {"gamma", "T"}, ["F_psi_minus_34_r", "F_psi_plus_34_r", "concurrence_34_r"]),
+    "fermion": _Mode(DiodeMetrics, {"gamma"}, []),
+    "heat": _Mode(HeatDiodeMetrics, {"gamma", "T_C", "T_H", "dT", "secular_cutoff"}, []),
 }
 
 
@@ -147,6 +156,9 @@ class SweepConfig:
                     f"coupled.{name}: unknown name(s) {sorted(bad)}; "
                     f"only axis variables and {sorted(_COUPLED_FUNCS)} may appear"
                 )
+        swept = axis_names | {name for name, _ in self.coupled}
+        if all(n in swept or getattr(self.bath, n) != getattr(BathConfig, n) for n in ("T_H", "dT")):
+            raise ValueError("T_H and dT both set the hot temperature; give one")
         outputs = self.outputs or tuple(_DEFAULT_OUTPUTS[self.bath.mode])
         known = _KNOWN_OUTPUTS[self.bath.mode]
         for name in outputs:
@@ -155,8 +167,9 @@ class SweepConfig:
         object.__setattr__(self, "outputs", tuple(outputs))
         positive_int("workers", self.workers)
 
-    @staticmethod
-    def _check_path(label: str, name: str) -> None:
+    def _check_path(self, label: str, name: str) -> None:
+        if name in _BATH_FIELDS - _MODES[self.bath.mode].bath_fields:
+            raise ValueError(f"{label}: {self.bath.mode} mode does not read bath.{name}")
         local_field = name.startswith("local_field_") and name[len("local_field_") :].isdigit()
         if not (local_field or name in _KNOBS or name in _BATH_FIELDS):
             raise ValueError(f"{label}: not a model or bath parameter")

@@ -73,6 +73,39 @@ def test_derived_output_lists():
     assert SweepConfig.from_json(small_config(bath={"mode": "fermion"})).outputs == tuple(diode[:4])
 
 
+@pytest.mark.parametrize(
+    "bath, match",
+    [
+        ({"mode": "fermion", "T": 100}, "bath.T: fermion mode does not read it"),
+        ({"mode": "spin", "secular_cutoff": 3}, "bath.secular_cutoff: spin mode does not read it"),
+        ({"mode": "spin", "T_H": -5}, "bath.T_H: spin mode does not read it"),
+        ({"mode": "heat", "T": 1}, "bath.T: heat mode does not read it"),
+        ({"mode": "heat", "T_H": 5, "dT": 10}, "both set the hot temperature"),
+    ],
+)
+def test_bath_fields_the_mode_does_not_read_are_refused(bath, match):
+    with pytest.raises(ValueError, match=match):
+        BathConfig(**bath)
+    # a field at its default is no setting, whatever the mode
+    BathConfig(mode=bath["mode"], T=None, T_C=0.1, T_H=10.1, dT=None, secular_cutoff=0.0)
+
+
+def test_sweeps_over_unread_bath_fields_are_refused():
+    with pytest.raises(ValueError, match="axes.T: fermion mode does not read bath.T"):
+        SweepConfig.from_json(small_config(bath={"mode": "fermion"}, axes=[["T", [100.0]]], coupled={}))
+    with pytest.raises(ValueError, match="coupled.T_H: spin mode does not read bath.T_H"):
+        SweepConfig.from_json(small_config(coupled={"T_H": "Delta + 1"}))
+    heat = {"model": {"variant": "Heat_HQ"}, "bath": {"mode": "heat"}}
+    clashes = [
+        ([["T_H", [5.0]]], {"dT": 1.0}),
+        ([["T_H", [5.0]], ["dT", [1.0]]], {}),
+        ([["dT", [1.0]]], {"T_H": 5.0}),
+    ]
+    for axes, bath in clashes:
+        with pytest.raises(ValueError, match="both set the hot temperature"):
+            SweepConfig.from_json(json.dumps(dict(heat, axes=axes, bath=dict(heat["bath"], **bath))))
+
+
 def test_hot_temperature_from_dT():
     bath = BathConfig(mode="heat", T_C=0.5, dT=3.0)
     assert bath.hot_temperature == pytest.approx(3.5)
@@ -274,6 +307,20 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert rc == 2
         assert "SPINDIODE_WORKERS" in capsys.readouterr().err
     assert not fig_dir.exists()
+
+    # a bath field the mode ignores is a config error, not a silent default row
+    unread = tmp_path / "unread.json"
+    unread.write_text(small_config(bath={"mode": "fermion", "T": 100.0}))
+    rc = main(["sweep", "--config", str(unread), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "fermion mode does not read it" in capsys.readouterr().err
+
+    # a bad bath coupling is refused before any solve
+    model = json.dumps(TUNED)
+    for gamma in ("-1", "nan", "inf"):
+        rc = main(["steady", "--model", model, "--bias", "forward", "--gamma", gamma])
+        assert rc == 2
+        assert "--gamma must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_cli_steady_json(tmp_path, capsys):
