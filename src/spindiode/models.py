@@ -277,13 +277,8 @@ def _assemble(n_sites: int, terms: list[Term]) -> np.ndarray:
 
 
 def build_hamiltonian(spec: ModelSpec) -> Operator:
-    """Hermitian Hamiltonian of the variant, in units of J.
-
-    The returned Operator carries its term list in ``.terms`` so that
-    sub-chains can be cut out with :func:`restrict_to_sites`.
-    """
-    terms = hamiltonian_terms(spec)
-    return Operator(_assemble(spec.n_sites, terms), terms=tuple(terms))
+    """Hermitian Hamiltonian of the variant, in units of J."""
+    return Operator(_assemble(spec.n_sites, hamiltonian_terms(spec)))
 
 
 def critical_j34(Delta):
@@ -307,25 +302,23 @@ def critical_j34_heat(h):
     return float(out) if out.ndim == 0 else out
 
 
-def restrict_to_sites(H: Operator, sites) -> Operator:
-    """Sub-Hamiltonian with only the terms fully supported on ``sites``.
+def restrict_to_sites(spec: ModelSpec, sites) -> Operator:
+    """Sub-Hamiltonian of the variant with only the terms fully supported on ``sites``.
 
     ``sites`` must be a contiguous 1-based window, e.g. [1, 2, 3, 4];
     couplings crossing the cut are dropped and the kept sites are
     renumbered 1..len(sites).
     """
-    if H.terms is None:
-        raise ValueError("operator carries no term list; build it with build_hamiltonian")
     window = list(sites)
     if window != list(range(window[0], window[0] + len(window))):
         raise ValueError(f"sites must be contiguous, got {window}")
     relabel = {s: k + 1 for k, s in enumerate(window)}
     kept = [
         Term(t.kind, tuple(relabel[s] for s in t.sites), t.coeff)
-        for t in H.terms
+        for t in hamiltonian_terms(spec)
         if all(s in relabel for s in t.sites)
     ]
-    return Operator(_assemble(len(window), kept), terms=tuple(kept))
+    return Operator(_assemble(len(window), kept))
 
 
 def chain_ends(spec: ModelSpec) -> tuple[int, int]:

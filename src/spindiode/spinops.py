@@ -66,14 +66,12 @@ class Operator:
     """A dense operator on an n-spin Hilbert space.
 
     The dimension must be a power of two.  The wrapped array is made
-    read-only so operators can be shared freely once built.  Hamiltonians
-    built by :func:`spindiode.models.build_hamiltonian` additionally carry
-    a ``terms`` tuple describing their interaction graph.
+    read-only so operators can be shared freely once built.
     """
 
-    __slots__ = ("matrix", "terms")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, terms=None):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
@@ -84,7 +82,6 @@ class Operator:
             m = m.copy()
         m.setflags(write=False)
         self.matrix = m
-        self.terms = terms
 
     @property
     def dim(self) -> int:

@@ -29,7 +29,7 @@ from . import __version__
 from .globalbath import HeatDiodeMetrics, evaluate_heat_diode
 from .jordanwigner import fermionic_current_metrics
 from .liouville import decoherence_channels
-from .models import _KNOBS, ModelSpec, critical_j34, critical_j34_heat
+from .models import _KNOBS, _VARIANTS, ModelSpec, critical_j34, critical_j34_heat
 from .observables import DiodeMetrics, concurrence, evaluate_diode, fidelity_pure
 from .spinops import bell_state, partial_trace
 
@@ -170,8 +170,13 @@ class SweepConfig:
     def _check_path(self, label: str, name: str) -> None:
         if name in _BATH_FIELDS - _MODES[self.bath.mode].bath_fields:
             raise ValueError(f"{label}: {self.bath.mode} mode does not read bath.{name}")
-        local_field = name.startswith("local_field_") and name[len("local_field_") :].isdigit()
-        if not (local_field or name in _KNOBS or name in _BATH_FIELDS):
+        layout, site = _VARIANTS[self.model.variant], name.removeprefix("local_field_")
+        if site != name and site.isdigit():
+            if not 1 <= int(site) <= layout.n_sites:
+                raise ValueError(f"{label}: site out of range for {layout.n_sites} sites")
+        elif name in _KNOBS - layout.knobs:
+            raise ValueError(f"{label}: {self.model.variant.value} does not take {name}")
+        elif name not in _KNOBS | _BATH_FIELDS:
             raise ValueError(f"{label}: not a model or bath parameter")
 
     def canonical_json(self) -> str:
@@ -264,11 +269,8 @@ def _point_model(config: SweepConfig, params: dict[str, float]) -> tuple[ModelSp
         if name in _BATH_FIELDS:
             bath = replace(bath, **{name: value})
         elif name.startswith("local_field_"):
-            idx = int(name[len("local_field_") :])
             fields = list(spec.local_fields or (0.0,) * spec.n_sites)
-            if not 1 <= idx <= spec.n_sites:
-                raise ValueError(f"{name}: site out of range for {spec.n_sites} sites")
-            fields[idx - 1] = value
+            fields[int(name.removeprefix("local_field_")) - 1] = value
             spec = spec.replace(local_fields=tuple(fields))
         else:
             spec = spec.replace(**{name: value})

@@ -99,7 +99,7 @@ def test_criterion_01_eigenstate_identity():
         delta = rng.uniform(0.0, 0.2)
         J34 = rng.uniform(-12.0, 12.0)
         spec = ModelSpec(variant=Variant.DIODE, Delta=Delta, delta=delta, J34=J34)
-        H4 = restrict_to_sites(build_hamiltonian(spec), range(1, 5))
+        H4 = restrict_to_sites(spec, range(1, 5))
         lhs = H4 @ psi
         rhs = math.sqrt(2.0) * delta * flipped.amplitudes + (Delta - 2.0 * J34) * psi.amplitudes
         worst = max(worst, float(np.abs(lhs - rhs).max()))

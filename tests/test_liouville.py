@@ -213,7 +213,7 @@ def channel_mixes(draw):
             local_fields=draw(st.none() | st.tuples(*[energy] * 6)),
         )
         start = draw(st.integers(1, 7 - n))
-        H = restrict_to_sites(build_hamiltonian(spec), range(start, start + n))
+        H = restrict_to_sites(spec, range(start, start + n))
     channel = st.builds(
         DissipatorSpec,
         site=st.integers(1, n),

@@ -12,6 +12,7 @@ from spindiode.models import (
     critical_j34,
     critical_j34_heat,
     current_bonds,
+    hamiltonian_terms,
     restrict_to_sites,
 )
 from spindiode.spinops import (
@@ -94,7 +95,7 @@ def test_eigenstate_identity_restricted():
     # relation with a single delta-proportional leak term
     for _ in range(20):
         spec = random_diode_spec()
-        H14 = restrict_to_sites(build_hamiltonian(spec), range(1, 5))
+        H14 = restrict_to_sites(spec, range(1, 5))
         psi = kron_states(product_state("dd"), bell_state("psi-"))
         lhs = H14 @ psi
         rhs = (
@@ -381,16 +382,10 @@ def test_chain_ends_and_bonds():
         assert chain_ends(spec) == (first, last)
         assert current_bonds(spec) == ((first, first + 1), (last - 1, last))
         # both current bonds are XX bonds of the Hamiltonian
-        bonds = {t.sites for t in build_hamiltonian(spec).terms if t.kind == "xx"}
+        bonds = {t.sites for t in hamiltonian_terms(spec) if t.kind == "xx"}
         assert {(first, first + 1), (last - 1, last)} <= bonds
 
 
 def test_restrict_to_sites_errors():
-    H = build_hamiltonian(ModelSpec(variant=Variant.DIODE, Delta=1.0))
-    with pytest.raises(ValueError):
-        restrict_to_sites(H, [1, 3, 4])
-    from spindiode.spinops import Operator
-
-    bare = Operator(np.eye(4))
-    with pytest.raises(ValueError):
-        restrict_to_sites(bare, [1, 2])
+    with pytest.raises(ValueError, match="contiguous"):
+        restrict_to_sites(ModelSpec(variant=Variant.DIODE, Delta=1.0), [1, 3, 4])

@@ -149,7 +149,7 @@ def test_arbitration_margins_around_the_threshold():
     def second_eigenvalue(L):
         R, _ = L.restrict(reachable(L, np.arange(0, L.dim, L.hilbert_dim + 1)))
         scale = spla.norm(L.matrix, np.inf)
-        w = _eigs_near_zero(R, scale)(4, v0=np.ones(R.shape[0]), return_eigenvectors=False)
+        w, _ = _eigs_near_zero(R, scale, steadystate._BLOCK_NULL_RTOL * scale, return_eigenvectors=False)
         return np.sort(np.abs(w))[1] / scale
 
     H = build_hamiltonian(ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=10.0, J34=11.3))

@@ -6,9 +6,10 @@ import pytest
 from spindiode.cli import main
 from spindiode.globalbath import evaluate_heat_diode
 from spindiode.jordanwigner import fermionic_current_metrics
-from spindiode.models import ModelSpec, Variant
+from spindiode.models import _KNOBS, ModelSpec, Variant
 from spindiode.observables import evaluate_diode
-from spindiode.sweep import BathConfig, SweepConfig, SweepTable, export, run_sweep
+from spindiode.presets import run_preset
+from spindiode.sweep import _BATH_FIELDS, _MODES, BathConfig, SweepConfig, SweepTable, export, run_sweep
 
 TUNED = {"variant": "Diode", "Delta": 5.0, "delta": 0.03, "J34": -6.3}
 
@@ -50,6 +51,39 @@ def test_config_validation_messages():
         SweepConfig.from_json(small_config(extra_block={}))
     with pytest.raises(ValueError, match="bath"):
         SweepConfig.from_json(small_config(bath={"mode": "spin", "flux": 1.0}))
+    with pytest.raises(ValueError, match="axes.h: Diode does not take h"):
+        SweepConfig.from_json(small_config(axes=[["h", [1.0]]]))
+    with pytest.raises(ValueError, match="coupled.h: Diode does not take h"):
+        SweepConfig.from_json(small_config(coupled={"h": "Delta"}))
+    for site in (0, 7):
+        with pytest.raises(ValueError, match=f"axes.local_field_{site}: site out of range for 6 sites"):
+            SweepConfig.from_json(small_config(axes=[[f"local_field_{site}", [1.0]]]))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("mode", list(_MODES))
+def test_sweep_names_are_refused_exactly_when_the_point_would_be(variant, mode):
+    """A single-axis sweep is refused at config time iff its point's ModelSpec or BathConfig raises."""
+    template = ModelSpec(variant=variant)
+    n = template.n_sites
+    for name in sorted(_KNOBS | _BATH_FIELDS) + [f"local_field_{k}" for k in range(9)]:
+        try:
+            if name in _BATH_FIELDS:
+                BathConfig(mode=mode, **{name: 2.0})
+            elif name in _KNOBS:
+                template.replace(**{name: 2.0})
+            else:  # site k carries the field: outside 1..n the tuple has the wrong length
+                k = int(name.removeprefix("local_field_"))
+                template.replace(local_fields=[0.0] * (k - 1) + [2.0] + [0.0] * (n - k))
+            point_raises = False
+        except ValueError:
+            point_raises = True
+        try:
+            SweepConfig(model=template, axes=((name, (2.0,)),), bath=BathConfig(mode=mode))
+            config_raises = False
+        except ValueError:
+            config_raises = True
+        assert config_raises == point_raises, (variant, mode, name)
 
 
 def test_digest_is_stable_and_sensitive():
@@ -315,6 +349,17 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "fermion mode does not read it" in capsys.readouterr().err
 
+    # a knob the variant does not take, or a site it lacks, is refused before any output
+    refused = [{"axes": [["h", [1.0]]]}, {"coupled": {"h": "Delta"}},
+               {"axes": [["local_field_0", [1.0]]]}, {"axes": [["local_field_7", [1.0]]]}]
+    for overrides in refused:
+        cfg = tmp_path / "refused.json"
+        cfg.write_text(small_config(**overrides))
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "refused.csv")])
+        assert rc == 2
+        assert "invalid sweep config" in capsys.readouterr().err
+    assert not (tmp_path / "refused.csv").exists()
+
     # a bad bath coupling is refused before any solve
     model = json.dumps(TUNED)
     for gamma in ("-1", "nan", "inf"):
@@ -343,9 +388,29 @@ def test_cli_steady_json(tmp_path, capsys):
     assert doc["hot_site"] == 6 and doc["cold_site"] == 1
     assert doc["J"] == m.J_r and doc["continuity"] == m.continuity[1]
 
+    model_file = tmp_path / "model.json"
+    model_file.write_text(spec.to_json())
+    rc = main(["steady", "--model", str(model_file), "--bias", "reverse"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == doc
+
     rc = main(["steady", "--model", "{\"variant\": \"NoSuch\"}", "--bias", "forward"])
     assert rc == 2
     assert "invalid model" in capsys.readouterr().err
+
+    # delta = 0 leaves a degenerate steady state: a runtime failure, not a config error
+    rc = main(["steady", "--model", "{\"variant\": \"Diode\"}", "--bias", "forward"])
+    assert rc == 1
+    assert "runtime error: RuntimeError" in capsys.readouterr().err
+
+
+def test_cli_figure_writes_the_preset_tables(tmp_path, capsys):
+    rc = main(["figure", "fig4bc", "--out", str(tmp_path / "cli")])
+    assert rc == 0
+    assert "fig4bc_profiles.csv" in capsys.readouterr().out
+    (table,) = run_preset("fig4bc").values()
+    export(table, "csv", tmp_path / "library.csv")
+    assert (tmp_path / "cli" / "fig4bc_profiles.csv").read_text() == (tmp_path / "library.csv").read_text()
 
 
 def test_cli_usage_error_exits_2():
