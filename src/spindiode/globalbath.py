@@ -24,11 +24,15 @@ X_C = sum_{omega in C} sqrt(rate(omega)) A(omega), assembled by
 Everything is assembled in the energy eigenbasis of H, where the
 Hamiltonian superoperator is diagonal and the A(omega) are sparse
 blocks; steady states are solved there and rotated back only at the
-end.  This keeps the six-spin superoperator (4096 x 4096) comfortably
-sparse.  ``evaluate_heat_diode`` diagonalizes H once per point: both
-biases share the eigensystem, the coherent part and one transition table
-per bath site, so a bias only adds its rates (one array expression over
-the distinct frequencies) and the GKLS assembly.
+end.  ``evaluate_heat_diode`` diagonalizes H once per point: both biases
+share the eigensystem and one transition table per bath site, so a bias
+only adds its rates (one array expression over the distinct frequencies)
+and the generator's entries.  It never forms the 4096 x 4096 generator
+of six spins: it solves the block reachable from the populations (64-66
+indices at cutoff 0) with the solve step of ``steady_state_solve``, and
+takes each bath's current from the energy-basis state.  The full
+generator (``assemble_global_liouvillian``, ``GlobalDissipator.apply``)
+stays as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -39,10 +43,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .liouville import Liouvillian, _superop, hamiltonian_superop, unvectorize, vectorize
+from .liouville import (
+    Liouvillian,
+    _pairs,
+    _real_block,
+    _superop,
+    _terms,
+    hamiltonian_superop,
+    unvectorize,
+    vectorize,
+)
 from .models import ModelSpec, Variant, build_hamiltonian, chain_ends
 from .spinops import SIGMA_X, Operator, _as_matrix, site_operator
-from .steadystate import steady_state_solve
+# steady_state_solve is unused; bench/tracer.py patches it here
+from .steadystate import _BlockSystem, _solve_block, steady_state_solve  # noqa: F401
 
 __all__ = [
     "ThermalBathSpec",
@@ -95,11 +109,11 @@ def bath_rate(omega: float, T: float, gamma: float) -> float:
 
 
 def _rates(omega: np.ndarray, T: float, gamma: float) -> np.ndarray:
-    """Unchecked bath_rate over an array, bit-identical: np.expm1 can differ from math.expm1 in the last bit."""
+    """Unchecked bath_rate over an array; bath_rate is this on one element, so the two agree bit for bit."""
     x = np.abs(omega) / T
     live = (omega != 0.0) & (x <= 700.0)
     n = np.zeros_like(x)
-    n[live] = 1.0 / np.fromiter(map(math.expm1, x[live]), float, np.count_nonzero(live))
+    n[live] = 1.0 / np.expm1(x[live])
     rates = gamma * np.abs(omega) * np.where(omega > 0, 1.0 + n, n)
     rates[omega == 0.0] = gamma * T
     return rates
@@ -202,17 +216,16 @@ class GlobalDissipator:
 class _HeatGenerator:
     """The bias-independent part of a heat generator, built once from H.
 
-    Holds the eigensystem, -i[diag(eps), .] and one sigma_x transition table
-    per bath site (built on first use); a call only adds the baths' rates.
+    Holds the eigensystem and one sigma_x transition table per bath site (built on
+    first use); a bias only adds the baths' rates.
     """
 
     def __init__(self, H):
         self.eigensystem = _eigensystem(H)
-        self.coherent = hamiltonian_superop(np.diag(self.eigensystem[0]))
         self._tables = {}
 
-    def dissipator(self, bath: ThermalBathSpec) -> GlobalDissipator:
-        """One jump per frequency cluster, built by the GKLS assembler.
+    def jumps(self, bath: ThermalBathSpec) -> tuple:
+        """The bath's jump table (ids, rows, cols, values, rates) in the energy basis.
 
         The transitions of sigma_x at bath.site, sorted by frequency, form single-linkage
         clusters of width bath.secular_cutoff; cluster C jumps with sum_{w in C} sqrt(rate(w)) A(w).
@@ -222,15 +235,61 @@ class _HeatGenerator:
             self._tables[bath.site] = _EigenBlocks(self.eigensystem, site_operator(n, bath.site, SIGMA_X))
         eb = self._tables[bath.site]
         rates = _rates(eb.freqs, bath.temperature, bath.gamma)[eb.inverse]
-        jumps = (_cluster(eb.freqs, bath.secular_cutoff)[0][eb.inverse], eb.rows, eb.cols, eb.values, rates)
-        return GlobalDissipator(bath, eb.U, _superop(None, jumps, len(eb.U)))
+        return _cluster(eb.freqs, bath.secular_cutoff)[0][eb.inverse], eb.rows, eb.cols, eb.values, rates
+
+    def dissipator(self, bath: ThermalBathSpec) -> GlobalDissipator:
+        """The bath's dissipator as a full energy-basis superoperator, built by the GKLS assembler."""
+        U = self.eigensystem[1]
+        return GlobalDissipator(bath, U, _superop(None, self.jumps(bath), len(U)))
 
     def __call__(self, baths) -> tuple[Liouvillian, list[GlobalDissipator]]:
-        baths = list(baths)
-        if not baths:
-            raise ValueError("need at least one bath")
-        dissipators = [self.dissipator(bath) for bath in baths]
-        return Liouvillian(sum((dis.matrix_energy for dis in dissipators), self.coherent)), dissipators
+        dissipators = [self.dissipator(bath) for bath in _nonempty(baths)]
+        coherent = hamiltonian_superop(np.diag(self.eigensystem[0]))
+        return Liouvillian(sum((dis.matrix_energy for dis in dissipators), coherent)), dissipators
+
+    def block(self, baths) -> tuple[_BlockSystem, list[tuple]]:
+        """The generator on the block reachable from the populations, and each bath's pairs.
+
+        One pass over both baths' pairs (liouville._terms) gives L's diagonal and its
+        off-diagonal entries, summed per position as the CSR build of the full L sums
+        them.  The block is their closure from the populations; the norms and the
+        residual of the solve step read every entry.  No d^2 x d^2 matrix is built.
+        """
+        eps = self.eigensystem[0]
+        d, D = len(eps), len(eps) ** 2
+        pairs = [_pairs(self.jumps(bath)) for bath in _nonempty(baths)]
+        off, (_, _, diag), *kron = _terms(np.diag(eps), tuple(map(np.concatenate, zip(*pairs))), d)
+        rows, cols, vals = (np.concatenate(t) for t in zip(off, *kron))
+        keys, at = np.unique(rows.astype(np.int64) * D + cols, return_inverse=True)
+        vals = np.bincount(at, vals.real) + 1j * np.bincount(at, vals.imag)
+        live = vals != 0.0
+        (rows, cols), vals = np.divmod(keys[live], D), vals[live]
+
+        inside = np.zeros(D, dtype=bool)
+        inside[:: d + 1] = True
+        while (grow := inside[cols] & ~inside[rows]).any():
+            inside[rows[grow]] = True
+        idx, pos, edge = np.flatnonzero(inside), np.cumsum(inside) - 1, inside[cols]
+        n = idx.size
+        B = sp.csr_matrix((np.r_[diag[idx], vals[edge]], (np.r_[:n, pos[rows[edge]]], np.r_[:n, pos[cols[edge]]])),
+                          shape=(n, n))
+
+        size = np.abs(vals)
+        norms = {"fro": math.sqrt(np.sum(np.abs(diag) ** 2) + np.sum(size**2)),
+                 np.inf: float(np.max(np.abs(diag) + np.bincount(rows, size, minlength=D)))}
+
+        def apply(v):
+            flow = vals * v[cols]
+            return diag * v + np.bincount(rows, flow.real, minlength=D) + 1j * np.bincount(rows, flow.imag, minlength=D)
+
+        return _BlockSystem(idx, *_real_block(B, idx, d), d, norms.__getitem__, apply), pairs
+
+
+def _nonempty(baths) -> list:
+    baths = list(baths)
+    if not baths:
+        raise ValueError("need at least one bath")
+    return baths
 
 
 def global_dissipator(H, bath: ThermalBathSpec) -> GlobalDissipator:
@@ -248,14 +307,19 @@ def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, list[GlobalDissi
     return _HeatGenerator(H)(baths)
 
 
-def heat_current(H, dissipator: GlobalDissipator, rho_ss) -> float:
-    """Heat flowing from one bath into the chain: K = tr(H D[rho_ss]).
+def heat_current(eps: np.ndarray, pairs: tuple, rho_e: np.ndarray) -> float:
+    """Heat flowing from one bath into the chain: K = tr(diag(eps) D[rho_e]), in the energy basis.
 
-    Positive K means the bath heats the chain.  In a two-bath steady
-    state the currents of the baths balance, K_1 = -K_n, so either one
-    determines the transported heat.
+    ``eps`` are the eigenvalues of H, ``rho_e`` a state in its eigenbasis and ``pairs`` the
+    bath's pair table (liouville._pairs).  Only the pairs with a_s = a_t reach the diagonal
+    of D[rho_e]; each moves w rho_e[b_t, b_s] at the frequency eps[a_s] - eps[b_s].
+    Positive K means the bath heats the chain.  In a two-bath steady state the currents
+    of the baths balance, K_1 = -K_n, so either one determines the transported heat.
     """
-    return float(np.trace(_as_matrix(H) @ dissipator.apply(rho_ss)).real)
+    a_s, a_t, b_s, b_t, w = pairs
+    same = a_s == a_t
+    a, b_s, b_t = a_s[same], b_s[same], b_t[same]
+    return float(np.sum(w[same] * rho_e[b_t, b_s] * (eps[a] - eps[b_s])).real)
 
 
 @dataclass
@@ -296,16 +360,17 @@ def evaluate_heat_diode(
     H = build_hamiltonian(spec)
     first, last = chain_ends(spec)
     generator = _HeatGenerator(H)  # one diagonalization, one transition table per site, both biases
+    eps, U = generator.eigensystem
 
     currents, balance, states = [], [], []
     for T1, Tn in ((T_H, T_C), (T_C, T_H)):
-        L, dissipators = generator(ThermalBathSpec(s, T, gamma, secular_cutoff) for s, T in ((first, T1), (last, Tn)))
-        U = dissipators[0].U  # solved in the energy basis, rotated back
-        rho = Operator(U @ steady_state_solve(L).rho_ss.matrix @ U.conj().T)
-        k1, kn = (heat_current(H, dis, rho) for dis in dissipators)
+        baths = [ThermalBathSpec(first, T1, gamma, secular_cutoff), ThermalBathSpec(last, Tn, gamma, secular_cutoff)]
+        system, pairs = generator.block(baths)
+        rho_e = _solve_block(system).rho_ss.matrix
+        k1, kn = (heat_current(eps, p, rho_e) for p in pairs)
         currents.append(k1)
         balance.append(abs(k1 + kn))
-        states.append(rho)
+        states.append(Operator(U @ rho_e @ U.conj().T))
 
     K_f, K_r = currents
     R_Q = math.inf if abs(K_r) < 1e-16 else -K_f / K_r

@@ -109,14 +109,13 @@ def _table(pairs):
     return tuple(map(np.concatenate, zip(*parts))) or (np.empty(0),) * 5
 
 
-def _superop(H, jumps, dim: int) -> sp.csr_matrix:
-    """L = I kron G + conj(G) kron I + sum_k conj(X_k) kron X_k, one CSR build.
+def _pairs(jumps):
+    """Every pair (s, t) of entries in one jump of a table, as (a_s, a_t, b_s, b_t, w).
 
     ``jumps`` is a table (ids, rows, cols, values, rates) whose entries s, those of one jump
-    adjacent, make X_k = sum over s in k of sqrt(r_s) v_s |a_s><b_s|.  Each pair (s, t) in one
-    jump puts w = sqrt(r_s r_t) conj(v_s) v_t at L[a_s d + a_t, b_s d + b_t], and -w/2 at
-    G[b_s, b_t] when a_s = a_t (G = -iH - 1/2 sum X'X).  One vector holds L's diagonal:
-    diag(G) of both kron terms and every pair that lands on it, folded.
+    adjacent, make X_k = sum over s in k of sqrt(r_s) v_s |a_s><b_s|; entries at rate 0 drop out.
+    Each pair weighs w = sqrt(r_s r_t) conj(v_s) v_t: X_k rho X_k' gains w rho[b_t, b_s] at
+    [a_t, a_s], and X_k'X_k gains w at [b_s, b_t] when a_s = a_t.
     """
     keep = jumps[4] != 0.0
     ids, v, r = jumps[0][keep], jumps[3][keep], jumps[4][keep]
@@ -132,19 +131,37 @@ def _superop(H, jumps, dim: int) -> sp.csr_matrix:
     w *= v[t]
     # times sqrt(r_s r_t): exactly r_s when equal, and no underflow for tiny rates
     w *= np.where(r[s] == r[t], r[s], np.sqrt(r[s]) * np.sqrt(r[t]))
-    rows, cols, same = a[s] * dim + a[t], b[s] * dim + b[t], a[s] == a[t]
+    return a[s], a[t], b[s], b[t], w
+
+
+def _terms(H, pairs, dim: int) -> list:
+    """L = I kron G + conj(G) kron I + sum_k conj(X_k) kron X_k as (rows, cols, values) terms.
+
+    Pair (s, t) puts w at L[a_s d + a_t, b_s d + b_t], and -w/2 at G[b_s, b_t] when a_s = a_t
+    (G = -iH - 1/2 sum X'X).  The terms come in the order the CSR build sums them: the pairs off
+    L's diagonal; L's diagonal (diag(G) of both kron terms and every pair that lands on it,
+    folded into one vector over all dim^2 indices); the kron terms of G's off-diagonal part.
+    """
+    a_s, a_t, b_s, b_t, w = pairs
+    rows, cols, same = a_s * dim + a_t, b_s * dim + b_t, a_s == a_t
     G = np.zeros((dim, dim), dtype=complex) if H is None else -1j * H
-    np.add.at(G, (b[s[same]], b[t[same]]), -0.5 * w[same])
-    del s, t, same
+    np.add.at(G, (b_s[same], b_t[same]), -0.5 * w[same])
+    del pairs, a_s, a_t, b_s, b_t, same
     diag, on = np.zeros(dim * dim, dtype=complex), rows == cols
     np.add.at(diag, rows[on], w[on])
     g, eye, kk = G.diagonal(), np.eye(dim), np.arange(dim * dim, dtype=np.int32)
     off = G - np.diag(g)
     terms = [(rows[~on], cols[~on], w[~on]), (kk, kk, diag + (g.conj()[:, None] + g).ravel())]
-    del rows, cols, w, on
-    terms += [_kron(eye, off), _kron(off.conj(), eye)]
-    rows, cols, vals = (np.concatenate(t) for t in zip(*terms))
-    del terms, diag
+    del rows, cols, w, on, diag
+    return terms + [_kron(eye, off), _kron(off.conj(), eye)]
+
+
+def _superop(H, jumps, dim: int) -> sp.csr_matrix:
+    """L = I kron G + conj(G) kron I + sum_k conj(X_k) kron X_k for a jump table, one CSR build.
+
+    See :func:`_pairs` for the table and :func:`_terms` for the entries.
+    """
+    rows, cols, vals = (np.concatenate(t) for t in zip(*_terms(H, _pairs(jumps), dim)))
     out = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
     out.eliminate_zeros()
     return out
@@ -186,6 +203,27 @@ def local_dissipator_superop(spec: DissipatorSpec, n_sites: int) -> sp.csr_matri
     return _superop(None, _jumps([spec], n_sites), 2**n_sites)
 
 
+def _real_block(B: sp.spmatrix, idx: np.ndarray, d: int):
+    """``(R, Q)`` of the block B = L[idx][:, idx] of a d^2-dim L; see :meth:`Liouvillian.restrict`."""
+    n, ar = idx.size, np.arange(idx.size)
+    col, row = np.divmod(idx, d)
+    pos = np.full(d * d, -1)
+    pos[idx] = ar
+    p = pos[row * d + col]  # the position of (c, r)
+    if np.any(p < 0):
+        raise ValueError("index set is not closed under the transposition (r, c) -> (c, r)")
+    # Q[i, i] = own[i] and Q[i, p[i]] = far[p[i]]
+    s, sides = np.sqrt(0.5), [row < col, row > col]
+    own, far = np.select(sides, [s, -1j * s], 1.0), np.select(sides, [s, 1j * s], 0.0)
+    Q = sp.csr_matrix((np.r_[own, far[p]], (np.r_[ar, ar], np.r_[ar, p])), shape=(n, n))
+    B = Q.conj().T @ B @ Q
+    if B.nnz and np.abs(B.data.imag).max() > 1e-12 * np.abs(B.data).max():
+        raise ValueError("L does not preserve Hermiticity: its block is not real in Hermitian coordinates")
+    R = B.real.tocsr()
+    R.eliminate_zeros()
+    return R, Q
+
+
 class Liouvillian:
     """A sparse master-equation generator."""
 
@@ -213,23 +251,7 @@ class Liouvillian:
         is real CSR.  ValueError unless ``idx`` is closed under (r, c) -> (c, r) and the
         imaginary part of R stays within 1e-12 of its largest entry."""
         idx = np.asarray(idx, dtype=np.int64)
-        n, d, ar = idx.size, self.hilbert_dim, np.arange(idx.size)
-        col, row = np.divmod(idx, d)
-        pos = np.full(self.dim, -1)
-        pos[idx] = ar
-        p = pos[row * d + col]  # the position of (c, r)
-        if np.any(p < 0):
-            raise ValueError("index set is not closed under the transposition (r, c) -> (c, r)")
-        # Q[i, i] = own[i] and Q[i, p[i]] = far[p[i]]
-        s, sides = np.sqrt(0.5), [row < col, row > col]
-        own, far = np.select(sides, [s, -1j * s], 1.0), np.select(sides, [s, 1j * s], 0.0)
-        Q = sp.csr_matrix((np.r_[own, far[p]], (np.r_[ar, ar], np.r_[ar, p])), shape=(n, n))
-        B = Q.conj().T @ self.matrix[idx][:, idx] @ Q
-        if B.nnz and np.abs(B.data.imag).max() > 1e-12 * np.abs(B.data).max():
-            raise ValueError("L does not preserve Hermiticity: its block is not real in Hermitian coordinates")
-        R = B.real.tocsr()
-        R.eliminate_zeros()
-        return R, Q
+        return _real_block(self.matrix[idx][:, idx], idx, self.hilbert_dim)
 
     def __repr__(self):
         return f"Liouvillian(dim={self.dim}, nnz={self.matrix.nnz})"

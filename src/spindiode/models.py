@@ -23,15 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spinops import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_Z,
-    Operator,
-    coupling_zz,
-    exchange_xx,
-    site_operator,
-)
+from .spinops import Operator
 
 __all__ = [
     "Variant",
@@ -258,21 +250,27 @@ def hamiltonian_terms(spec: ModelSpec) -> list[Term]:
 
 
 def _assemble(n_sites: int, terms: list[Term]) -> np.ndarray:
-    dim = 2**n_sites
-    mat = np.zeros((dim, dim), dtype=complex)
+    """Dense H from bit masks of the basis index, adding the terms in order.
+
+    Site s is bit n_sites - s of the index, set for up.  ``xx`` adds 2 coeff where
+    the two bits differ, at the index with both flipped; ``zz`` and ``z`` add coeff
+    times the sign(s) of sigma_z (-1 down, +1 up) on the diagonal; ``raise2`` adds
+    coeff where both bits agree, at the index with both flipped.  These are the
+    entries, summed in the same order, of the products of ``site_operator`` matrices.
+    """
+    k = np.arange(2**n_sites)
+    mat, diag = np.zeros((k.size, k.size), dtype=complex), np.zeros(k.size)
     for kind, sites, coeff in terms:
-        if kind == "xx":
-            mat += coeff * exchange_xx(n_sites, *sites).matrix
-        elif kind == "zz":
-            mat += coeff * coupling_zz(n_sites, *sites).matrix
-        elif kind == "z":
-            mat += coeff * site_operator(n_sites, sites[0], SIGMA_Z).matrix
-        elif kind == "raise2":
-            up = [site_operator(n_sites, s, SIGMA_PLUS).matrix for s in sites]
-            dn = [site_operator(n_sites, s, SIGMA_MINUS).matrix for s in sites]
-            mat += coeff * (up[0] @ up[1] + dn[0] @ dn[1])
+        bits = [(k >> (n_sites - s)) & 1 for s in sites]
+        if kind in ("zz", "z"):
+            diag += coeff * np.prod([2 * b - 1 for b in bits], axis=0)
+        elif kind in ("xx", "raise2"):
+            at = k[(bits[0] != bits[1]) if kind == "xx" else (bits[0] == bits[1])]
+            flip = sum(1 << (n_sites - s) for s in sites)
+            mat[at ^ flip, at] += coeff * (2.0 if kind == "xx" else 1.0)
         else:
             raise ValueError(f"unknown term kind {kind!r}")
+    mat[k, k] = diag
     return mat
 
 
@@ -305,11 +303,13 @@ def critical_j34_heat(h):
 def restrict_to_sites(spec: ModelSpec, sites) -> Operator:
     """Sub-Hamiltonian of the variant with only the terms fully supported on ``sites``.
 
-    ``sites`` must be a contiguous 1-based window, e.g. [1, 2, 3, 4];
-    couplings crossing the cut are dropped and the kept sites are
+    ``sites`` must be a contiguous 1-based window inside the chain, e.g. [1, 2, 3, 4]
+    (else ValueError); couplings crossing the cut are dropped and the kept sites are
     renumbered 1..len(sites).
     """
     window = list(sites)
+    if not window or window[0] < 1 or window[-1] > spec.n_sites:
+        raise ValueError(f"sites must be a nonempty window of 1..{spec.n_sites}, got {window}")
     if window != list(range(window[0], window[0] + len(window))):
         raise ValueError(f"sites must be contiguous, got {window}")
     relabel = {s: k + 1 for k, s in enumerate(window)}

@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -19,10 +21,15 @@ from spindiode.globalbath import (
     global_dissipator,
     heat_current,
 )
-from spindiode.liouville import unvectorize, vectorize
+from spindiode.liouville import reachable, unvectorize, vectorize
 from spindiode.models import ModelSpec, Variant, build_hamiltonian, chain_ends
 from spindiode.spinops import SIGMA_X, SIGMA_Z, Operator, coupling_zz, exchange_xx, site_operator
 from spindiode.steadystate import steady_state_solve
+
+
+def full_space_heat_current(H, dissipator, rho):
+    """tr(H D[rho]) in the computational basis, through the full energy-basis superoperator."""
+    return float(np.trace(H.matrix @ dissipator.apply(rho)).real)
 
 
 def small_hamiltonian(n=3):
@@ -174,11 +181,15 @@ def test_bath_rate_detailed_balance():
 
 
 def scalar_rate(omega, T, gamma):
-    """The ohmic rate written out in scalar arithmetic, the reference for the vectorized rates."""
+    """The ohmic rate written out one frequency at a time, the reference for the vectorized rates.
+
+    It calls np.expm1, as _rates does: math.expm1 differs from it in the last bit on about
+    4 % of arguments.
+    """
     if omega == 0.0:
         return gamma * T
     x = abs(omega) / T
-    n = 0.0 if x > 700.0 else 1.0 / math.expm1(x)
+    n = 0.0 if x > 700.0 else 1.0 / float(np.expm1(x))
     if omega > 0:
         return gamma * abs(omega) * (1.0 + n)
     return gamma * abs(omega) * n
@@ -305,7 +316,7 @@ def test_equal_temperature_chain_reaches_gibbs():
 
     # no heat flows anywhere at equal temperatures
     for d in diss:
-        assert abs(heat_current(H, d, Operator(rho))) < 1e-10
+        assert abs(full_space_heat_current(H, d, rho)) < 1e-10
 
 
 def test_dissipator_apply_is_trace_free_and_hermiticity_preserving():
@@ -348,11 +359,15 @@ def test_heat_currents_balance_out_of_equilibrium():
     L, diss = assemble_global_liouvillian(H, baths)
     rho_e = steady_state_solve(L).rho_ss.matrix
     U = diss[0].U
-    rho = Operator(U @ rho_e @ U.conj().T)
-    K1 = heat_current(H, diss[0], rho)
-    K3 = heat_current(H, diss[1], rho)
+    rho = U @ rho_e @ U.conj().T
+    K1 = full_space_heat_current(H, diss[0], rho)
+    K3 = full_space_heat_current(H, diss[1], rho)
     assert K1 > 1e-6  # the hot bath heats the chain
     assert abs(K1 + K3) < 1e-10
+    # the energy-basis flux form of the same state, with no rotation
+    generator = _HeatGenerator(H)
+    pairs = generator.block(baths)[1]
+    assert [heat_current(generator.eigensystem[0], p, rho_e) for p in pairs] == pytest.approx([K1, K3], abs=1e-12)
 
 
 def test_evaluate_heat_diode_tuned_point():
@@ -376,6 +391,88 @@ def test_partial_secular_point_solves_to_positive_states():
     for rho in (m.rho_f, m.rho_r):
         assert np.linalg.eigvalsh(rho.matrix).min() > -1e-12
     assert m.R_Q > 1.0
+
+
+def full_space_heat_diode(spec, cutoff):
+    """Both biases of evaluate_heat_diode by the 4096-dim route: the full L, steady_state_solve, rotation."""
+    H, (first, last) = build_hamiltonian(spec), chain_ends(spec)
+    out = []
+    for T1, Tn in ((10.1, 0.1), (0.1, 10.1)):
+        L, dissipators = assemble_global_liouvillian(H, [ThermalBathSpec(first, T1, 1.0, cutoff),
+                                                         ThermalBathSpec(last, Tn, 1.0, cutoff)])
+        U = dissipators[0].U
+        out.append((U @ steady_state_solve(L).rho_ss.matrix @ U.conj().T, dissipators))
+    return H, out
+
+
+HEAT_POINTS = [
+    pytest.param(ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=h, J34=h + 1.3 + off), 0.0, id=f"h={h},off={off}")
+    for h in (1.0, 5.0, 7.5, 10.0)
+    for off in (-0.3, 0.0, 0.3)
+] + [
+    pytest.param(ModelSpec(variant=Variant.LINEAR_REFERENCE, h=5.0), 0.0, id="linear"),
+    pytest.param(ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=5.0, J34=6.3), 0.5, id="cutoff=0.5"),
+]
+
+
+@pytest.mark.parametrize("spec, cutoff", HEAT_POINTS)
+def test_heat_diode_matches_the_full_space_route(spec, cutoff):
+    """The energy-basis block route against the full L, its solve and tr(H D[rho]) via GlobalDissipator.apply.
+
+    The reverse bias at h >= 7.5 relaxes through a mode at ~1e-13 of the spectral scale and
+    the cutoff-0.5 reverse bias through one at ~1e-10, so there 1-ulp differences of L move
+    rho_r by up to 2.9e-4 (7.6e-7 at cutoff 0.5) between the two routes; elsewhere both
+    states agree to 1e-10.  Each K is compared with tr(H D[rho]) of the same state: the
+    rotated trace loses up to 1.2e-13 (K_f) and 1.2e-14 (K_r) to cancellation.
+    """
+    m = evaluate_heat_diode(spec, secular_cutoff=cutoff)
+    H, ((rho_f, dis_f), (rho_r, dis_r)) = full_space_heat_diode(spec, cutoff)
+    blocked = spec.h >= 7.5 or cutoff > 0.0
+    assert np.abs(m.rho_f.matrix - rho_f).max() < 1e-10
+    assert np.abs(m.rho_r.matrix - rho_r).max() < (1e-3 if blocked else 1e-10)
+    assert abs(m.K_f - full_space_heat_current(H, dis_f[0], m.rho_f.matrix)) < 2e-13
+    assert abs(m.K_r - full_space_heat_current(H, dis_r[0], m.rho_r.matrix)) < 2e-14
+    assert max(m.balance) < 1e-12
+
+
+@pytest.mark.parametrize("h, cutoff", [(5.0, 0.0), (9.0, 0.0), (5.0, 0.5)])
+def test_heat_block_is_the_invariant_population_block_of_the_full_l(h, cutoff):
+    """The block, its real coordinates and the norms the solve step reads, against the full L."""
+    H, (first, last) = heat_hq(h)
+    generator, rng = _HeatGenerator(H), np.random.default_rng(1)
+    for T1, Tn in ((10.1, 0.1), (0.1, 10.1)):
+        baths = [ThermalBathSpec(first, T1, 1.0, cutoff), ThermalBathSpec(last, Tn, 1.0, cutoff)]
+        system = generator.block(baths)[0]
+        L = assemble_global_liouvillian(H, baths)[0]
+        inside = np.zeros(L.dim, dtype=bool)
+        inside[system.idx] = True
+        assert inside[:: L.hilbert_dim + 1].all()
+        assert L.matrix[~inside][:, inside].count_nonzero() == 0
+        assert np.array_equal(system.idx, reachable(L, np.arange(0, L.dim, L.hilbert_dim + 1)))
+        R = L.restrict(system.idx)[0]
+        assert abs(system.R - R).max() <= 1e-14 * abs(R).max()
+        for kind in ("fro", np.inf):
+            assert system.norm(kind) == pytest.approx(spla.norm(L.matrix, kind), rel=1e-13)
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        v = vectorize(a + a.conj().T)
+        assert np.abs(system.apply(v) - L.matrix @ v).max() <= 1e-14 * spla.norm(L.matrix, np.inf) * np.abs(v).max()
+
+
+@pytest.mark.parametrize("J34", [0.0, 12.0])
+def test_degenerate_heat_points_are_refused(J34):
+    """fig7a's h = 0 points, where the secular generator has 2 and 3 steady states.
+
+    The two numbers in the message are roundoff (probe gain ~1e17, second eigenvalue
+    ~1e-16), so only the format and their exponents' range are pinned.
+    """
+    spec = ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=0.0, J34=J34)
+    with pytest.raises(RuntimeError) as err:
+        evaluate_heat_diode(spec)
+    assert re.fullmatch(
+        r"trace-constrained system is numerically singular \(probe gain \d\.\de\+1[0-9], second eigenvalue "
+        r"\d\.\de-1[3-9]\); the steady state is degenerate \(delta = 0\?\) - use steady_states\(\) instead",
+        str(err.value),
+    )
 
 
 def test_evaluate_heat_diode_rejects_wrong_variant():

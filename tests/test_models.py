@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spindiode.models import (
+    _VARIANTS,
     ModelSpec,
     Variant,
     build_hamiltonian,
@@ -17,12 +18,15 @@ from spindiode.models import (
 )
 from spindiode.spinops import (
     bell_state,
+    coupling_zz,
     exchange_xx,
     kron_states,
     product_state,
     site_operator,
     swap_operator,
     total_sz,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     SIGMA_Z,
 )
 
@@ -386,6 +390,45 @@ def test_chain_ends_and_bonds():
         assert {(first, first + 1), (last - 1, last)} <= bonds
 
 
+def dense_hamiltonian(n_sites, terms):
+    """The terms summed in order as products of dense site operators: the reference for the bit-mask build."""
+    mat = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    for kind, sites, coeff in terms:
+        if kind == "xx":
+            mat += coeff * exchange_xx(n_sites, *sites).matrix
+        elif kind == "zz":
+            mat += coeff * coupling_zz(n_sites, *sites).matrix
+        elif kind == "z":
+            mat += coeff * site_operator(n_sites, sites[0], SIGMA_Z).matrix
+        else:
+            up = [site_operator(n_sites, s, SIGMA_PLUS).matrix for s in sites]
+            dn = [site_operator(n_sites, s, SIGMA_MINUS).matrix for s in sites]
+            mat += coeff * (up[0] @ up[1] + dn[0] @ dn[1])
+    return mat
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_bit_mask_hamiltonian_equals_site_operator_products_byte_for_byte(variant):
+    """Every variant with random knobs and local fields, and every sub-chain window of it."""
+    rng = np.random.default_rng(sorted(Variant, key=lambda v: v.value).index(variant))
+    layout = _VARIANTS[variant]
+    for _ in range(3):
+        knobs = {k: float(rng.uniform(-3.0, 3.0)) for k in sorted(layout.knobs)}
+        spec = ModelSpec(variant=variant, local_fields=tuple(rng.uniform(-2.0, 2.0, layout.n_sites)), **knobs)
+        want = dense_hamiltonian(spec.n_sites, hamiltonian_terms(spec))
+        assert build_hamiltonian(spec).matrix.tobytes() == want.tobytes()
+        start = int(rng.integers(1, spec.n_sites))
+        window = range(start, int(rng.integers(start + 1, spec.n_sites + 1)) + 1)
+        cut = ModelSpec(variant=variant, **knobs)  # restrict_to_sites renumbers; compare through the full chain's terms
+        kept = [t for t in hamiltonian_terms(cut) if all(s in window for s in t.sites)]
+        kept = [type(t)(t.kind, tuple(s - start + 1 for s in t.sites), t.coeff) for t in kept]
+        assert restrict_to_sites(cut, window).matrix.tobytes() == dense_hamiltonian(len(window), kept).tobytes()
+
+
 def test_restrict_to_sites_errors():
+    spec = ModelSpec(variant=Variant.DIODE, Delta=1.0)
     with pytest.raises(ValueError, match="contiguous"):
-        restrict_to_sites(ModelSpec(variant=Variant.DIODE, Delta=1.0), [1, 3, 4])
+        restrict_to_sites(spec, [1, 3, 4])
+    for window in ([5, 6, 7, 8], [0, 1], []):
+        with pytest.raises(ValueError, match=r"nonempty window of 1\.\.6"):
+            restrict_to_sites(spec, window)

@@ -111,13 +111,23 @@ def test_heat_diode_matches_full_space_down_to_the_blocked_bias_floor(monkeypatc
     # scale, so 1-ulp changes of L move rho_r by up to ~1e-4 and neither
     # path resolves it to 1e-10 (against a 60-digit solve of the same
     # block: block 3.8e-5 off, full space 7.4e-5); rho_f and both heat
-    # currents are resolved, K_r ~ 5e-11 to the solve's 1e-15 floor
-    block = evaluate_heat_diode(heat_spec(9.0))
+    # currents are resolved, K_r ~ 5e-11 to the solve's 1e-15 floor.  The
+    # full-space route: the whole L solved without a block, and
+    # tr(H D[rho]) in the computational basis
+    spec = heat_spec(9.0)
+    block = evaluate_heat_diode(spec)
     monkeypatch.setattr(steadystate, "reachable", lambda L, seeds: np.arange(L.dim))
-    full = evaluate_heat_diode(heat_spec(9.0))
-    assert np.abs(block.rho_f.matrix - full.rho_f.matrix).max() < 1e-10
-    assert abs(block.K_f - full.K_f) < 1e-13
-    assert abs(block.K_r - full.K_r) < 1e-14
+    H = build_hamiltonian(spec)
+    full = []
+    for T1, Tn in ((10.1, 0.1), (0.1, 10.1)):
+        L, dissipators = assemble_global_liouvillian(H, [ThermalBathSpec(1, T1), ThermalBathSpec(6, Tn)])
+        U = dissipators[0].U
+        rho = U @ steady_state_solve(L).rho_ss.matrix @ U.conj().T
+        full.append((rho, float(np.trace(H.matrix @ dissipators[0].apply(rho)).real)))
+    (rho_f, K_f), (_, K_r) = full
+    assert np.abs(block.rho_f.matrix - rho_f).max() < 1e-10
+    assert abs(block.K_f - K_f) < 1e-13
+    assert abs(block.K_r - K_r) < 1e-14
 
 
 def test_reachable_keeps_imaginary_entries():
