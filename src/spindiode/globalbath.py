@@ -26,13 +26,15 @@ Hamiltonian superoperator is diagonal and the A(omega) are sparse
 blocks; steady states are solved there and rotated back only at the
 end.  ``evaluate_heat_diode`` diagonalizes H once per point: both biases
 share the eigensystem and one transition table per bath site, so a bias
-only adds its rates (one array expression over the distinct frequencies)
-and the generator's entries.  It never forms the 4096 x 4096 generator
-of six spins: it solves the block reachable from the populations (64-66
-indices at cutoff 0) with the solve step of ``steady_state_solve``, and
-takes each bath's current from the energy-basis state.  The full
-generator (``assemble_global_liouvillian``, ``GlobalDissipator.apply``)
-stays as the reference the tests compare against.
+only adds its rates (one array expression over the distinct frequencies).
+Each bias builds its generator in one CSR pass over both baths'
+transition pairs and solves it with ``steady_state_solve``, the solve of
+the spin chains, which factors only the block reachable from the
+populations (64-66 of 4096 indices for six spins at cutoff 0).  Each
+bath's current comes from the energy-basis state and the bath's pairs.
+``assemble_global_liouvillian`` and ``GlobalDissipator.apply``, which
+build one superoperator per bath, stay as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -46,17 +48,14 @@ import scipy.sparse as sp
 from .liouville import (
     Liouvillian,
     _pairs,
-    _real_block,
     _superop,
-    _terms,
     hamiltonian_superop,
     unvectorize,
     vectorize,
 )
 from .models import ModelSpec, Variant, build_hamiltonian, chain_ends
 from .spinops import SIGMA_X, Operator, _as_matrix, site_operator
-# steady_state_solve is unused; bench/tracer.py patches it here
-from .steadystate import _BlockSystem, _solve_block, steady_state_solve  # noqa: F401
+from .steadystate import steady_state_solve
 
 __all__ = [
     "ThermalBathSpec",
@@ -240,49 +239,22 @@ class _HeatGenerator:
     def dissipator(self, bath: ThermalBathSpec) -> GlobalDissipator:
         """The bath's dissipator as a full energy-basis superoperator, built by the GKLS assembler."""
         U = self.eigensystem[1]
-        return GlobalDissipator(bath, U, _superop(None, self.jumps(bath), len(U)))
+        return GlobalDissipator(bath, U, _superop(None, _pairs(self.jumps(bath)), len(U)))
 
     def __call__(self, baths) -> tuple[Liouvillian, list[GlobalDissipator]]:
         dissipators = [self.dissipator(bath) for bath in _nonempty(baths)]
         coherent = hamiltonian_superop(np.diag(self.eigensystem[0]))
         return Liouvillian(sum((dis.matrix_energy for dis in dissipators), coherent)), dissipators
 
-    def block(self, baths) -> tuple[_BlockSystem, list[tuple]]:
-        """The generator on the block reachable from the populations, and each bath's pairs.
+    def liouvillian(self, baths) -> tuple[Liouvillian, list[tuple]]:
+        """The generator in one CSR build over both baths' pairs, and each bath's pairs.
 
-        One pass over both baths' pairs (liouville._terms) gives L's diagonal and its
-        off-diagonal entries, summed per position as the CSR build of the full L sums
-        them.  The block is their closure from the populations; the norms and the
-        residual of the solve step read every entry.  No d^2 x d^2 matrix is built.
+        The same rules as ``__call__``, which sums one CSR per bath and the coherent part;
+        the pairs are what heat_current reads.
         """
         eps = self.eigensystem[0]
-        d, D = len(eps), len(eps) ** 2
         pairs = [_pairs(self.jumps(bath)) for bath in _nonempty(baths)]
-        off, (_, _, diag), *kron = _terms(np.diag(eps), tuple(map(np.concatenate, zip(*pairs))), d)
-        rows, cols, vals = (np.concatenate(t) for t in zip(off, *kron))
-        keys, at = np.unique(rows.astype(np.int64) * D + cols, return_inverse=True)
-        vals = np.bincount(at, vals.real) + 1j * np.bincount(at, vals.imag)
-        live = vals != 0.0
-        (rows, cols), vals = np.divmod(keys[live], D), vals[live]
-
-        inside = np.zeros(D, dtype=bool)
-        inside[:: d + 1] = True
-        while (grow := inside[cols] & ~inside[rows]).any():
-            inside[rows[grow]] = True
-        idx, pos, edge = np.flatnonzero(inside), np.cumsum(inside) - 1, inside[cols]
-        n = idx.size
-        B = sp.csr_matrix((np.r_[diag[idx], vals[edge]], (np.r_[:n, pos[rows[edge]]], np.r_[:n, pos[cols[edge]]])),
-                          shape=(n, n))
-
-        size = np.abs(vals)
-        norms = {"fro": math.sqrt(np.sum(np.abs(diag) ** 2) + np.sum(size**2)),
-                 np.inf: float(np.max(np.abs(diag) + np.bincount(rows, size, minlength=D)))}
-
-        def apply(v):
-            flow = vals * v[cols]
-            return diag * v + np.bincount(rows, flow.real, minlength=D) + 1j * np.bincount(rows, flow.imag, minlength=D)
-
-        return _BlockSystem(idx, *_real_block(B, idx, d), d, norms.__getitem__, apply), pairs
+        return Liouvillian(_superop(np.diag(eps), tuple(map(np.concatenate, zip(*pairs))), len(eps))), pairs
 
 
 def _nonempty(baths) -> list:
@@ -365,8 +337,8 @@ def evaluate_heat_diode(
     currents, balance, states = [], [], []
     for T1, Tn in ((T_H, T_C), (T_C, T_H)):
         baths = [ThermalBathSpec(first, T1, gamma, secular_cutoff), ThermalBathSpec(last, Tn, gamma, secular_cutoff)]
-        system, pairs = generator.block(baths)
-        rho_e = _solve_block(system).rho_ss.matrix
+        L, pairs = generator.liouvillian(baths)
+        rho_e = steady_state_solve(L).rho_ss.matrix
         k1, kn = (heat_current(eps, p, rho_e) for p in pairs)
         currents.append(k1)
         balance.append(abs(k1 + kn))

@@ -134,13 +134,14 @@ def _pairs(jumps):
     return a[s], a[t], b[s], b[t], w
 
 
-def _terms(H, pairs, dim: int) -> list:
-    """L = I kron G + conj(G) kron I + sum_k conj(X_k) kron X_k as (rows, cols, values) terms.
+def _superop(H, pairs, dim: int) -> sp.csr_matrix:
+    """L = I kron G + conj(G) kron I + sum_k conj(X_k) kron X_k for a pair table, one CSR build.
 
-    Pair (s, t) puts w at L[a_s d + a_t, b_s d + b_t], and -w/2 at G[b_s, b_t] when a_s = a_t
-    (G = -iH - 1/2 sum X'X).  The terms come in the order the CSR build sums them: the pairs off
-    L's diagonal; L's diagonal (diag(G) of both kron terms and every pair that lands on it,
-    folded into one vector over all dim^2 indices); the kron terms of G's off-diagonal part.
+    See :func:`_pairs` for the table.  Pair (s, t) puts w at L[a_s d + a_t, b_s d + b_t], and -w/2
+    at G[b_s, b_t] when a_s = a_t (G = -iH - 1/2 sum X'X).  The entries come in the order the CSR
+    build sums them: the pairs off L's diagonal; L's diagonal (diag(G) of both kron terms and every
+    pair that lands on it, folded into one vector over all dim^2 indices); the kron terms of G's
+    off-diagonal part.
     """
     a_s, a_t, b_s, b_t, w = pairs
     rows, cols, same = a_s * dim + a_t, b_s * dim + b_t, a_s == a_t
@@ -153,15 +154,7 @@ def _terms(H, pairs, dim: int) -> list:
     off = G - np.diag(g)
     terms = [(rows[~on], cols[~on], w[~on]), (kk, kk, diag + (g.conj()[:, None] + g).ravel())]
     del rows, cols, w, on, diag
-    return terms + [_kron(eye, off), _kron(off.conj(), eye)]
-
-
-def _superop(H, jumps, dim: int) -> sp.csr_matrix:
-    """L = I kron G + conj(G) kron I + sum_k conj(X_k) kron X_k for a jump table, one CSR build.
-
-    See :func:`_pairs` for the table and :func:`_terms` for the entries.
-    """
-    rows, cols, vals = (np.concatenate(t) for t in zip(*_terms(H, _pairs(jumps), dim)))
+    rows, cols, vals = (np.concatenate(t) for t in zip(*terms, _kron(eye, off), _kron(off.conj(), eye)))
     out = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
     out.eliminate_zeros()
     return out
@@ -189,39 +182,18 @@ def _jumps(dissipators, n_sites: int):
 def jump_superop(L, rate: float = 1.0) -> sp.csr_matrix:
     """Vectorized dissipator rate*(L.L' - 1/2 {L'L, .}) for jump operator L."""
     X = _as_matrix(L)
-    return _superop(None, _table([(rate, X)]), len(X))
+    return _superop(None, _pairs(_table([(rate, X)])), len(X))
 
 
 def hamiltonian_superop(H) -> sp.csr_matrix:
     """The coherent part -i(I kron H - H^T kron I)."""
     Hm = _as_matrix(H)
-    return _superop(Hm, _table(()), len(Hm))
+    return _superop(Hm, _pairs(_table(())), len(Hm))
 
 
 def local_dissipator_superop(spec: DissipatorSpec, n_sites: int) -> sp.csr_matrix:
     """Superoperator matrix of one local bath channel on an n-spin register."""
-    return _superop(None, _jumps([spec], n_sites), 2**n_sites)
-
-
-def _real_block(B: sp.spmatrix, idx: np.ndarray, d: int):
-    """``(R, Q)`` of the block B = L[idx][:, idx] of a d^2-dim L; see :meth:`Liouvillian.restrict`."""
-    n, ar = idx.size, np.arange(idx.size)
-    col, row = np.divmod(idx, d)
-    pos = np.full(d * d, -1)
-    pos[idx] = ar
-    p = pos[row * d + col]  # the position of (c, r)
-    if np.any(p < 0):
-        raise ValueError("index set is not closed under the transposition (r, c) -> (c, r)")
-    # Q[i, i] = own[i] and Q[i, p[i]] = far[p[i]]
-    s, sides = np.sqrt(0.5), [row < col, row > col]
-    own, far = np.select(sides, [s, -1j * s], 1.0), np.select(sides, [s, 1j * s], 0.0)
-    Q = sp.csr_matrix((np.r_[own, far[p]], (np.r_[ar, ar], np.r_[ar, p])), shape=(n, n))
-    B = Q.conj().T @ B @ Q
-    if B.nnz and np.abs(B.data.imag).max() > 1e-12 * np.abs(B.data).max():
-        raise ValueError("L does not preserve Hermiticity: its block is not real in Hermitian coordinates")
-    R = B.real.tocsr()
-    R.eliminate_zeros()
-    return R, Q
+    return _superop(None, _pairs(_jumps([spec], n_sites)), 2**n_sites)
 
 
 class Liouvillian:
@@ -250,8 +222,24 @@ class Liouvillian:
         r < c.  As L maps Hermitian matrices to Hermitian ones, R = Q^dag L[idx][:, idx] Q
         is real CSR.  ValueError unless ``idx`` is closed under (r, c) -> (c, r) and the
         imaginary part of R stays within 1e-12 of its largest entry."""
-        idx = np.asarray(idx, dtype=np.int64)
-        return _real_block(self.matrix[idx][:, idx], idx, self.hilbert_dim)
+        idx, d = np.asarray(idx, dtype=np.int64), self.hilbert_dim
+        n, ar = idx.size, np.arange(idx.size)
+        col, row = np.divmod(idx, d)
+        pos = np.full(d * d, -1)
+        pos[idx] = ar
+        p = pos[row * d + col]  # the position of (c, r)
+        if np.any(p < 0):
+            raise ValueError("index set is not closed under the transposition (r, c) -> (c, r)")
+        # Q[i, i] = own[i] and Q[i, p[i]] = far[p[i]]
+        s, sides = np.sqrt(0.5), [row < col, row > col]
+        own, far = np.select(sides, [s, -1j * s], 1.0), np.select(sides, [s, 1j * s], 0.0)
+        Q = sp.csr_matrix((np.r_[own, far[p]], (np.r_[ar, ar], np.r_[ar, p])), shape=(n, n))
+        B = Q.conj().T @ self.matrix[idx][:, idx] @ Q
+        if B.nnz and np.abs(B.data.imag).max() > 1e-12 * np.abs(B.data).max():
+            raise ValueError("L does not preserve Hermiticity: its block is not real in Hermitian coordinates")
+        R = B.real.tocsr()
+        R.eliminate_zeros()
+        return R, Q
 
     def __repr__(self):
         return f"Liouvillian(dim={self.dim}, nnz={self.matrix.nnz})"
@@ -271,7 +259,7 @@ def assemble_liouvillian(H, dissipators) -> Liouvillian:
     if Hm is not None and np.max(np.abs(Hm - Hm.conj().T)) > 1e-10:
         raise ValueError("H must be Hermitian")
     dim = 2 ** max(d.site for d in dissipators) if H is None else Hm.shape[0]
-    return Liouvillian(_superop(Hm, _jumps(dissipators, dim.bit_length() - 1), dim))
+    return Liouvillian(_superop(Hm, _pairs(_jumps(dissipators, dim.bit_length() - 1)), dim))
 
 
 def decoherence_channels(n_sites: int, T: float) -> list[DissipatorSpec]:

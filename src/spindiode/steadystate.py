@@ -25,9 +25,7 @@ the full L is checked, so accidentally hitting a degenerate point
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -240,14 +238,12 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
 
 
 class _BlockSystem(NamedTuple):
-    """An invariant block of L that holds the populations, and what the solve step reads of L."""
+    """An invariant block of L that holds the populations, and L itself."""
 
     idx: np.ndarray  # the block's sorted vec indices; idx[0] = 0 is the first population
     R: sp.csr_matrix  # the block in the real Hermitian coordinates of Liouvillian.restrict
     Q: sp.csr_matrix
-    d: int  # the Hilbert dimension
-    norm: Callable  # norm(kind) = ||L||_kind of the whole L, for kind "fro" and inf
-    apply: Callable  # apply(v) = L v for a vectorized state, for the residual
+    L: Liouvillian
 
 
 def _block_system(L: Liouvillian) -> _BlockSystem:
@@ -257,17 +253,18 @@ def _block_system(L: Liouvillian) -> _BlockSystem:
         R, Q = L.restrict(idx)
     except ValueError as exc:  # L does not preserve Hermiticity
         raise RuntimeError(f"population block: {exc}") from None
-    return _BlockSystem(idx, R, Q, L.hilbert_dim, partial(spla.norm, L.matrix), L.matrix.dot)
+    return _BlockSystem(idx, R, Q, L)
 
 
 def _solve_block(system: _BlockSystem) -> SteadyStateResult:
     """The solve step of :func:`steady_state_solve`: trace row, LU, refinement, probe, state, residual.
 
-    The gain and null bounds scale with the norms of the whole L, not of the block: the
-    coherent part sets ||L||_inf outside a heat chain's population block.
+    Only R is factored.  The gain and null bounds scale with the norms of the whole L, not of
+    the block, and the residual is taken against the whole L: in the energy basis of a heat
+    chain the coherent part sets ||L||_inf outside the population block.
     """
-    idx, R, Q, d, norm, apply = system
-    n = idx.size
+    idx, R, Q, L = system
+    n, d = idx.size, L.hilbert_dim
     # idx[0] = 0 is the first population: row 0 of R becomes the trace row
     pop, h = np.flatnonzero(idx % (d + 1) == 0), R.indptr[1]
     A = sp.csr_matrix((np.r_[np.ones(pop.size), R.data[h:]], np.r_[pop, R.indices[h:]],
@@ -283,7 +280,7 @@ def _solve_block(system: _BlockSystem) -> SteadyStateResult:
     x = lu.solve(b)
     x += lu.solve(b - A @ x)  # one step of iterative refinement
 
-    scale = max(norm("fro"), 1.0)
+    scale = max(spla.norm(L.matrix, "fro"), 1.0)
     rng = np.random.default_rng(0x5D10DE)
     probe = rng.standard_normal(n)
     probe /= np.linalg.norm(probe)
@@ -293,7 +290,7 @@ def _solve_block(system: _BlockSystem) -> SteadyStateResult:
     # points (h >= 7.5) whose blocked channel relaxes at ~1e-14 of the scale
     gain = float(np.linalg.norm(lu.solve(probe))) * scale
     if gain > 1e10:
-        sscale = norm(np.inf)
+        sscale = spla.norm(L.matrix, np.inf)
         w, null_idx = _eigs_near_zero(R, sscale, _BLOCK_NULL_RTOL * sscale, return_eigenvectors=False)
         second = float(np.sort(np.abs(w))[1])
         if len(null_idx) > 1:
@@ -309,7 +306,7 @@ def _solve_block(system: _BlockSystem) -> SteadyStateResult:
     m = unvectorize(full)
     m = m / np.trace(m).real
     rho = Operator(_repair_psd(m))
-    residual = float(np.linalg.norm(apply(vectorize(rho))))
+    residual = float(np.linalg.norm(L.matrix @ vectorize(rho)))
     if residual > 1e-8 * scale:
         raise RuntimeError(
             f"trace-constrained solve residual {residual:.3e} exceeds "

@@ -226,11 +226,13 @@ def _expand_axis(name: str, values) -> tuple[float, ...]:
         if len(values) != 1:
             raise ValueError(f"axes.{name}: descriptor must have exactly one key")
         kind, args = next(iter(values.items()))
-        if kind == "linspace":
-            return tuple(float(x) for x in np.linspace(*args))
-        if kind == "logspace":
-            return tuple(float(x) for x in np.logspace(*args))
-        raise ValueError(f"axes.{name}: unknown descriptor {kind!r}")
+        if kind not in ("linspace", "logspace"):
+            raise ValueError(f"axes.{name}: unknown descriptor {kind!r}")
+        if not isinstance(args, (list, tuple)) or len(args) != 3:
+            raise ValueError(f"axes.{name}: {kind} takes [start, stop, num], got {args!r}")
+        start, stop, num = args
+        space = np.linspace if kind == "linspace" else np.logspace
+        return tuple(float(x) for x in space(start, stop, positive_int(f"axes.{name}: {kind} num", num)))
     return tuple(float(x) for x in values)
 
 
@@ -406,7 +408,10 @@ def default_workers() -> int:
 
 
 def positive_int(name: str, value) -> int:
-    """``value`` if it is an integer >= 1; otherwise a ValueError naming ``name``."""
-    if not isinstance(value, numbers.Integral) or value < 1:
+    """``value`` if it is an integer >= 1; otherwise a ValueError naming ``name``.
+
+    bool is an Integral, but ``true`` is not a count: it is refused too.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return value

@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -21,7 +20,7 @@ from spindiode.globalbath import (
     global_dissipator,
     heat_current,
 )
-from spindiode.liouville import reachable, unvectorize, vectorize
+from spindiode.liouville import unvectorize, vectorize
 from spindiode.models import ModelSpec, Variant, build_hamiltonian, chain_ends
 from spindiode.spinops import SIGMA_X, SIGMA_Z, Operator, coupling_zz, exchange_xx, site_operator
 from spindiode.steadystate import steady_state_solve
@@ -366,7 +365,7 @@ def test_heat_currents_balance_out_of_equilibrium():
     assert abs(K1 + K3) < 1e-10
     # the energy-basis flux form of the same state, with no rotation
     generator = _HeatGenerator(H)
-    pairs = generator.block(baths)[1]
+    pairs = generator.liouvillian(baths)[1]
     assert [heat_current(generator.eigensystem[0], p, rho_e) for p in pairs] == pytest.approx([K1, K3], abs=1e-12)
 
 
@@ -436,26 +435,36 @@ def test_heat_diode_matches_the_full_space_route(spec, cutoff):
 
 
 @pytest.mark.parametrize("h, cutoff", [(5.0, 0.0), (9.0, 0.0), (5.0, 0.5)])
-def test_heat_block_is_the_invariant_population_block_of_the_full_l(h, cutoff):
-    """The block, its real coordinates and the norms the solve step reads, against the full L."""
+def test_one_pass_heat_generator_is_the_full_l(h, cutoff):
+    """The one-pass generator of both baths against assemble_global_liouvillian's per-bath sum.
+
+    Equal patterns; the entries differ only in the order their parts are summed.
+    """
     H, (first, last) = heat_hq(h)
-    generator, rng = _HeatGenerator(H), np.random.default_rng(1)
+    generator = _HeatGenerator(H)
     for T1, Tn in ((10.1, 0.1), (0.1, 10.1)):
         baths = [ThermalBathSpec(first, T1, 1.0, cutoff), ThermalBathSpec(last, Tn, 1.0, cutoff)]
-        system = generator.block(baths)[0]
-        L = assemble_global_liouvillian(H, baths)[0]
-        inside = np.zeros(L.dim, dtype=bool)
-        inside[system.idx] = True
-        assert inside[:: L.hilbert_dim + 1].all()
-        assert L.matrix[~inside][:, inside].count_nonzero() == 0
-        assert np.array_equal(system.idx, reachable(L, np.arange(0, L.dim, L.hilbert_dim + 1)))
-        R = L.restrict(system.idx)[0]
-        assert abs(system.R - R).max() <= 1e-14 * abs(R).max()
-        for kind in ("fro", np.inf):
-            assert system.norm(kind) == pytest.approx(spla.norm(L.matrix, kind), rel=1e-13)
-        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        v = vectorize(a + a.conj().T)
-        assert np.abs(system.apply(v) - L.matrix @ v).max() <= 1e-14 * spla.norm(L.matrix, np.inf) * np.abs(v).max()
+        got, pairs = generator.liouvillian(baths)
+        want = assemble_global_liouvillian(H, baths)[0]
+        assert len(pairs) == 2
+        for m in (got.matrix, want.matrix):
+            m.sort_indices()
+        assert np.array_equal(got.matrix.indptr, want.matrix.indptr)
+        assert np.array_equal(got.matrix.indices, want.matrix.indices)
+        assert np.abs(got.matrix.data - want.matrix.data).max() <= 1e-14 * np.abs(want.matrix.data).max()
+
+
+def test_evaluate_heat_diode_solves_each_bias_with_steady_state_solve(monkeypatch):
+    """Both biases go through the one steady-state entry point, by its globalbath name."""
+    dims = []
+
+    def counting(L):
+        dims.append(L.dim)
+        return steady_state_solve(L)
+
+    monkeypatch.setattr(globalbath, "steady_state_solve", counting)
+    evaluate_heat_diode(ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=5.0, J34=6.3))
+    assert dims == [4096, 4096]
 
 
 @pytest.mark.parametrize("J34", [0.0, 12.0])

@@ -34,6 +34,13 @@ def test_axis_expansion():
         SweepConfig.from_json(small_config(axes=[["delta", {"linspace": [0, 1, 3], "extra": 1}]]))
     with pytest.raises(ValueError):
         SweepConfig.from_json(small_config(axes=[["delta", {"geomspace": [1, 2, 3]}]]))
+    for kind in ("linspace", "logspace"):
+        for args in ([0, 1], [0, 1, 3, 4], 3):
+            with pytest.raises(ValueError, match=rf"axes.delta: {kind} takes \[start, stop, num\]"):
+                SweepConfig.from_json(small_config(axes=[["delta", {kind: args}]]))
+        for num in (0, 2.5, True):
+            with pytest.raises(ValueError, match=f"axes.delta: {kind} num must be a positive integer"):
+                SweepConfig.from_json(small_config(axes=[["delta", {kind: [0, 1, num]}]]))
 
 
 def test_config_validation_messages():
@@ -330,11 +337,20 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     rc = main(["sweep", "--config", str(all_fail), "--out", str(tmp_path / "o.csv"), "--workers", "0"])
     assert rc == 2
     assert "positive integer" in capsys.readouterr().err
-    fractional = tmp_path / "fractional.json"
-    fractional.write_text(small_config(workers=2.5))
-    rc = main(["sweep", "--config", str(fractional), "--out", str(tmp_path / "o.csv")])
-    assert rc == 2
-    assert "positive integer" in capsys.readouterr().err
+    not_a_count = tmp_path / "not_a_count.json"
+    for workers in (2.5, True):
+        not_a_count.write_text(small_config(workers=workers))
+        rc = main(["sweep", "--config", str(not_a_count), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "positive integer" in capsys.readouterr().err
+    # a descriptor without its sample count is refused, not expanded to numpy's default 50
+    short = tmp_path / "short.json"
+    for kind in ("linspace", "logspace"):
+        short.write_text(small_config(axes=[["Delta", [5.0]], ["delta", {kind: [0.01, 0.1]}]]))
+        rc = main(["sweep", "--config", str(short), "--out", str(tmp_path / "short.csv")])
+        assert rc == 2
+        assert f"{kind} takes [start, stop, num]" in capsys.readouterr().err
+    assert not (tmp_path / "short.csv").exists()
     for env in ("-4", "zero"):
         monkeypatch.setenv("SPINDIODE_WORKERS", env)
         rc = main(["figure", "fig2c", "--out", str(fig_dir)])
