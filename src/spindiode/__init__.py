@@ -44,7 +44,6 @@ from .liouville import (
     Liouvillian,
     vectorize,
     unvectorize,
-    local_dissipator_superop,
     assemble_liouvillian,
     decoherence_channels,
     propagate,
@@ -69,11 +68,9 @@ from .observables import (
 )
 from .globalbath import (
     ThermalBathSpec,
-    GlobalDissipator,
     HeatDiodeMetrics,
     eigen_operators,
     bath_rate,
-    global_dissipator,
     assemble_global_liouvillian,
     heat_current,
     evaluate_heat_diode,

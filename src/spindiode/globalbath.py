@@ -43,27 +43,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .liouville import (
-    Liouvillian,
-    _pairs,
-    _superop,
-    hamiltonian_superop,
-    unvectorize,
-    vectorize,
-)
+from .liouville import Liouvillian, _pairs, _superop
 from .models import ModelSpec, Variant, build_hamiltonian, chain_ends
 from .spinops import SIGMA_X, Operator, _as_matrix, site_operator
 from .steadystate import steady_state_solve
 
 __all__ = [
     "ThermalBathSpec",
-    "GlobalDissipator",
     "HeatDiodeMetrics",
     "eigen_operators",
     "bath_rate",
-    "global_dissipator",
     "assemble_global_liouvillian",
     "heat_current",
     "evaluate_heat_diode",
@@ -193,25 +183,6 @@ def eigen_operators(H, coupling):
     return out
 
 
-@dataclass
-class GlobalDissipator:
-    """One bath's dissipator, held in the energy basis of H."""
-
-    bath: ThermalBathSpec
-    U: np.ndarray
-    matrix_energy: sp.csr_matrix
-
-    def apply(self, rho) -> np.ndarray:
-        """D[rho] in the computational basis."""
-        rho_e = self.U.conj().T @ _as_matrix(rho) @ self.U
-        out_e = unvectorize(self.matrix_energy @ vectorize(rho_e))
-        return self.U @ out_e @ self.U.conj().T
-
-    def superop(self) -> np.ndarray:
-        """Dense computational-basis superoperator (small systems only)."""
-        return np.column_stack([vectorize(self.apply(unvectorize(e))) for e in np.eye(len(self.U) ** 2)])
-
-
 class _HeatGenerator:
     """The bias-independent part of a heat generator, built once from H.
 
@@ -236,47 +207,26 @@ class _HeatGenerator:
         rates = _rates(eb.freqs, bath.temperature, bath.gamma)[eb.inverse]
         return _cluster(eb.freqs, bath.secular_cutoff)[0][eb.inverse], eb.rows, eb.cols, eb.values, rates
 
-    def dissipator(self, bath: ThermalBathSpec) -> GlobalDissipator:
-        """The bath's dissipator as a full energy-basis superoperator, built by the GKLS assembler."""
-        U = self.eigensystem[1]
-        return GlobalDissipator(bath, U, _superop(None, _pairs(self.jumps(bath)), len(U)))
-
-    def __call__(self, baths) -> tuple[Liouvillian, list[GlobalDissipator]]:
-        dissipators = [self.dissipator(bath) for bath in _nonempty(baths)]
-        coherent = hamiltonian_superop(np.diag(self.eigensystem[0]))
-        return Liouvillian(sum((dis.matrix_energy for dis in dissipators), coherent)), dissipators
-
     def liouvillian(self, baths) -> tuple[Liouvillian, list[tuple]]:
-        """The generator in one CSR build over both baths' pairs, and each bath's pairs.
+        """The energy-basis generator in one CSR build over all baths' pairs, and each bath's pairs.
 
-        The same rules as ``__call__``, which sums one CSR per bath and the coherent part;
-        the pairs are what heat_current reads.
+        The pairs are what heat_current reads.
         """
         eps = self.eigensystem[0]
-        pairs = [_pairs(self.jumps(bath)) for bath in _nonempty(baths)]
+        pairs = [_pairs(self.jumps(bath)) for bath in baths]
+        if not pairs:
+            raise ValueError("need at least one bath")
         return Liouvillian(_superop(np.diag(eps), tuple(map(np.concatenate, zip(*pairs))), len(eps))), pairs
 
 
-def _nonempty(baths) -> list:
-    baths = list(baths)
-    if not baths:
-        raise ValueError("need at least one bath")
-    return baths
+def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, np.ndarray]:
+    """Full generator -i[H, .] + sum of bath dissipators, and the eigenvectors U of H.
 
-
-def global_dissipator(H, bath: ThermalBathSpec) -> GlobalDissipator:
-    """Thermal dissipator for a sigma_x coupling at bath.site."""
-    return _HeatGenerator(H).dissipator(bath)
-
-
-def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, list[GlobalDissipator]]:
-    """Full generator -i[H, .] + sum of bath dissipators.
-
-    Returned in the energy eigenbasis of H (the coherent part is then
-    diagonal); the accompanying GlobalDissipator objects carry the basis
-    for rotating states back.  All baths share one diagonalization.
+    L acts in the energy eigenbasis of H (a state rho is U^dagger rho U there), where the
+    coherent part is diagonal.  All baths share one diagonalization.
     """
-    return _HeatGenerator(H)(baths)
+    generator = _HeatGenerator(H)
+    return generator.liouvillian(baths)[0], generator.eigensystem[1]
 
 
 def heat_current(eps: np.ndarray, pairs: tuple, rho_e: np.ndarray) -> float:

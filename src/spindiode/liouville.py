@@ -34,7 +34,6 @@ __all__ = [
     "Liouvillian",
     "vectorize",
     "unvectorize",
-    "local_dissipator_superop",
     "assemble_liouvillian",
     "decoherence_channels",
     "reachable",
@@ -177,23 +176,6 @@ def _jumps(dissipators, n_sites: int):
         ladder = s.kind in (DissipatorKind.SPIN_LADDER, DissipatorKind.FERMION_LADDER)
         pairs += [(s.gamma * s.lam, X.conj().T), (s.gamma * (1.0 - s.lam), X)] if ladder else [(s.gamma, X)]
     return _table(pairs)
-
-
-def jump_superop(L, rate: float = 1.0) -> sp.csr_matrix:
-    """Vectorized dissipator rate*(L.L' - 1/2 {L'L, .}) for jump operator L."""
-    X = _as_matrix(L)
-    return _superop(None, _pairs(_table([(rate, X)])), len(X))
-
-
-def hamiltonian_superop(H) -> sp.csr_matrix:
-    """The coherent part -i(I kron H - H^T kron I)."""
-    Hm = _as_matrix(H)
-    return _superop(Hm, _pairs(_table(())), len(Hm))
-
-
-def local_dissipator_superop(spec: DissipatorSpec, n_sites: int) -> sp.csr_matrix:
-    """Superoperator matrix of one local bath channel on an n-spin register."""
-    return _superop(None, _pairs(_jumps([spec], n_sites)), 2**n_sites)
 
 
 class Liouvillian:

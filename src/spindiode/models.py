@@ -96,7 +96,7 @@ class ModelSpec:
     """Declarative description of one Hamiltonian variant.
 
     All energies are in units of J, so ``J`` itself must be 1.0; every
-    numeric field must be finite.  ``local_fields``, when given, adds
+    numeric field must be a finite number, not a bool.  ``local_fields`` adds
     sum_i local_fields[i-1] * sigma_z^(i) on top of any variant; it must
     have one entry per site.  For ShadowCorrected, ``omega_drive=None``
     resolves to Delta + 1.2 (the empirically best drive detuning) and the
@@ -123,7 +123,8 @@ class ModelSpec:
         if not isinstance(self.variant, Variant):
             object.__setattr__(self, "variant", Variant(self.variant))
         if self.local_fields is not None:
-            object.__setattr__(self, "local_fields", tuple(float(x) for x in self.local_fields))
+            fields = tuple(x if isinstance(x, bool) else float(x) for x in self.local_fields)  # validate refuses a bool
+            object.__setattr__(self, "local_fields", fields)
         self.validate()
 
     @property
@@ -137,6 +138,8 @@ class ModelSpec:
         for f in dc_fields(self):
             value = getattr(self, f.name)
             items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, bool) for x in items):
+                raise ValueError(f"{f.name} must be a number, got {value}")
             if f.name != "variant" and value is not None and not all(map(math.isfinite, items)):
                 raise ValueError(f"{f.name} must be finite, got {value}")
             # a knob the variant does not take must keep its default (nonzero for the shadow qubit)

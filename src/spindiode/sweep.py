@@ -57,8 +57,8 @@ class BathConfig:
     site in spin mode.  In heat mode ``secular_cutoff`` is the width of the
     frequency clusters that share a jump (see ``ThermalBathSpec``); a
     non-finite temperature, gamma or cutoff fails its point with ValueError.
-    A field the mode does not read must keep its default, and ``dT``
-    cannot stand beside a non-default ``T_H``: both raise ValueError.
+    A field the mode does not read must keep its default, ``dT`` cannot stand
+    beside a non-default ``T_H``, and a bool is no number: each raises ValueError.
     """
 
     mode: str = "spin"
@@ -74,6 +74,8 @@ class BathConfig:
             raise ValueError(f"bath.mode must be spin, heat or fermion, got {self.mode!r}")
         for f in dc_fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool):
+                raise ValueError(f"bath.{f.name} must be a number, got {value}")
             if f.name not in _MODES[self.mode].bath_fields | {"mode"} and value != f.default:
                 raise ValueError(f"bath.{f.name}: {self.mode} mode does not read it (got {f.name}={value})")
         if self.dT is not None and self.T_H != BathConfig.T_H:
@@ -161,9 +163,11 @@ class SweepConfig:
             raise ValueError("T_H and dT both set the hot temperature; give one")
         outputs = self.outputs or tuple(_DEFAULT_OUTPUTS[self.bath.mode])
         known = _KNOWN_OUTPUTS[self.bath.mode]
-        for name in outputs:
+        for k, name in enumerate(outputs):
             if name not in known:
                 raise ValueError(f"outputs.{name}: unknown metric for mode {self.bath.mode}; choose from {known}")
+            if name in outputs[:k]:
+                raise ValueError(f"outputs.{name}: duplicate output")
         object.__setattr__(self, "outputs", tuple(outputs))
         positive_int("workers", self.workers)
 
@@ -221,7 +225,7 @@ class SweepConfig:
 
 
 def _expand_axis(name: str, values) -> tuple[float, ...]:
-    """Explicit list, or {linspace|logspace: [start, stop, num]}."""
+    """Explicit list, or {linspace|logspace: [start, stop, num]}; a bool (JSON ``true``) is no number."""
     if isinstance(values, dict):
         if len(values) != 1:
             raise ValueError(f"axes.{name}: descriptor must have exactly one key")
@@ -231,8 +235,12 @@ def _expand_axis(name: str, values) -> tuple[float, ...]:
         if not isinstance(args, (list, tuple)) or len(args) != 3:
             raise ValueError(f"axes.{name}: {kind} takes [start, stop, num], got {args!r}")
         start, stop, num = args
+        if isinstance(start, bool) or isinstance(stop, bool):
+            raise ValueError(f"axes.{name}: {kind} start and stop must be numbers, got {args!r}")
         space = np.linspace if kind == "linspace" else np.logspace
         return tuple(float(x) for x in space(start, stop, positive_int(f"axes.{name}: {kind} num", num)))
+    if any(isinstance(x, bool) for x in values):
+        raise ValueError(f"axes.{name}: values must be numbers, got {values!r}")
     return tuple(float(x) for x in values)
 
 

@@ -279,9 +279,8 @@ def test_criterion_10_heat_diode():
 def test_criterion_11_global_bath_sanity():
     T = 0.7
     H = Operator(np.diag([-0.9, 0.9]).astype(complex))
-    L, diss = assemble_global_liouvillian(H, [ThermalBathSpec(site=1, temperature=T)])
+    L, U = assemble_global_liouvillian(H, [ThermalBathSpec(site=1, temperature=T)])
     rho_e = steady_state_solve(L).rho_ss.matrix
-    U = diss[0].U
     rho = U @ rho_e @ U.conj().T
     gibbs = np.diag(np.exp(-np.diag(H.matrix).real / T))
     gibbs = gibbs / np.trace(gibbs)

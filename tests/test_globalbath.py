@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spindiode import globalbath
+from spindiode import globalbath, steadystate
 from spindiode.globalbath import (
     ThermalBathSpec,
     _cluster,
@@ -17,7 +18,6 @@ from spindiode.globalbath import (
     bath_rate,
     eigen_operators,
     evaluate_heat_diode,
-    global_dissipator,
     heat_current,
 )
 from spindiode.liouville import unvectorize, vectorize
@@ -26,9 +26,15 @@ from spindiode.spinops import SIGMA_X, SIGMA_Z, Operator, coupling_zz, exchange_
 from spindiode.steadystate import steady_state_solve
 
 
-def full_space_heat_current(H, dissipator, rho):
-    """tr(H D[rho]) in the computational basis, through the full energy-basis superoperator."""
-    return float(np.trace(H.matrix @ dissipator.apply(rho)).real)
+def full_space_heat_current(H, bath, rho):
+    """tr(H D[rho]) of one bath: tr(diag(eps) L_1[rho_e]) with L_1 the bath's one-bath generator.
+
+    rho is rotated into the energy basis, where L_1 acts; the coherent part of L_1 has no
+    diagonal, so it adds nothing to the trace.  Not the pair sum of heat_current.
+    """
+    L1, U = assemble_global_liouvillian(H, [bath])
+    rho_e = U.conj().T @ rho @ U
+    return float(np.real(np.linalg.eigvalsh(H.matrix) @ np.diag(unvectorize(L1.matrix @ vectorize(rho_e)))))
 
 
 def small_hamiltonian(n=3):
@@ -81,31 +87,58 @@ def dense_secular_dissipator(H, bath):
     return D
 
 
-def dense_cluster_dissipator(H, bath):
-    """Dense oracle sum_C D[X_C] with X_C = sum_{w in C} sqrt(rate(w)) A(w), column-stacked vec.
+def cluster_jumps(pairs, bath):
+    """The bath's jumps from its eigen_operators pairs: per cluster C the terms (sqrt(rate(w)), A(w)), w in C.
 
-    The clusters C chain the sorted frequencies whose neighbours lie at most
-    the cutoff apart; D[X] = X . X' - 1/2 {X'X, .}.
+    X_C = sum_{w in C} sqrt(rate(w)) A(w).  The clusters C chain the sorted
+    frequencies whose neighbours lie at most the cutoff apart.
     """
-    n = H.matrix.shape[0].bit_length() - 1
-    pairs = sorted(eigen_operators(H, site_operator(n, bath.site, SIGMA_X)), key=lambda p: p[0])
+    pairs = sorted(pairs, key=lambda p: p[0])
     clusters = [[pairs[0]]]
     for (w_prev, _), pair in zip(pairs, pairs[1:]):
         if pair[0] - w_prev > bath.secular_cutoff:
             clusters.append([])
         clusters[-1].append(pair)
+    T, gamma = bath.temperature, bath.gamma
+    return [[(math.sqrt(bath_rate(w, T, gamma)), A.matrix) for w, A in cluster] for cluster in clusters]
+
+
+def dense_cluster_dissipator(H, bath):
+    """Dense oracle sum_C D[X_C] with the cluster jumps, column-stacked vec; D[X] = X . X' - 1/2 {X'X, .}."""
+    n = H.matrix.shape[0].bit_length() - 1
     eye = np.eye(H.matrix.shape[0])
     D = np.zeros((eye.size, eye.size), dtype=complex)
-    for cluster in clusters:
-        X = sum(math.sqrt(bath_rate(w, bath.temperature, bath.gamma)) * A.matrix for w, A in cluster)
+    for terms in cluster_jumps(eigen_operators(H, site_operator(n, bath.site, SIGMA_X)), bath):
+        X = sum(s * A for s, A in terms)
         XdX = X.conj().T @ X
         D += np.kron(X.conj(), X) - 0.5 * np.kron(eye, XdX) - 0.5 * np.kron(XdX.T, eye)
     return D
 
 
+def gkls_action(H, jumps, B):
+    """-i[H, rho] + sum_C (X_C rho X_C' - 1/2 {X_C'X_C, rho}) at rho = B B', in dense matrices.
+
+    ``jumps`` holds the cluster_jumps of each bath.  With B of d x r every term costs d^2 r,
+    not d^3, and no X_C is formed.
+    """
+    rho = B @ B.conj().T
+    out = -1j * (H @ rho - rho @ H)
+    W = np.zeros_like(B)  # sum X_C'X_C B
+    for bath in jumps:
+        for terms in bath:
+            XB = sum(s * (A @ B) for s, A in terms)
+            W += sum(s * (A.conj().T @ XB) for s, A in terms)
+            out += XB @ XB.conj().T
+    return out - 0.5 * (W @ B.conj().T + B @ W.conj().T)
+
+
 @pytest.mark.parametrize("cutoff", [0.0, 0.5])
 def test_secular_dissipator_matches_dense_oracle(cutoff):
-    """Cutoff 0 against the equal-frequency pairing, cutoff 0.5 against the cluster jumps."""
+    """Cutoff 0 against the equal-frequency pairing, cutoff 0.5 against the cluster jumps.
+
+    The one-bath generator is rotated to the computational basis, vec(U X U') = (conj(U) kron U) vec(X),
+    and its coherent part -i(I kron H - H^T kron I) subtracted.
+    """
     H = small_hamiltonian(3)
     bath = ThermalBathSpec(site=1, temperature=1.3, gamma=0.8, secular_cutoff=cutoff)
     oracle = dense_secular_dissipator
@@ -113,7 +146,9 @@ def test_secular_dissipator_matches_dense_oracle(cutoff):
         freqs = [w for w, _ in eigen_operators(H, site_operator(3, 1, SIGMA_X))]
         assert any(0 < abs(wi - wj) <= cutoff for wi in freqs for wj in freqs)
         oracle = dense_cluster_dissipator
-    D = global_dissipator(H, bath).superop()
+    L, U = assemble_global_liouvillian(H, [bath])
+    S, eye = np.kron(U.conj(), U), np.eye(8)
+    D = S @ L.dense() @ S.conj().T + 1j * (np.kron(eye, H.matrix) - np.kron(H.matrix.T, eye))
     assert np.abs(D - oracle(H, bath)).max() < 1e-12
 
 
@@ -133,23 +168,23 @@ def choi(S):
 def test_thermal_generator_is_gkls(seed, temperature, cutoff, site):
     """A random three-spin H, any temperature and cutoff: a trace- and Hermiticity-preserving CP generator.
 
-    The no-jump part -1/2 {X'X, .} only adds Choi terms along the maximally
-    entangled vector Omega, so off Omega the Choi matrix of the dissipator is
-    that of its jump part, sum_C |X_C>><<X_C|, and must be PSD.
+    The coherent part and the no-jump part -1/2 {X'X, .} only add Choi terms
+    along the maximally entangled vector Omega, so off Omega the Choi matrix of
+    the one-bath generator is that of its jump part, sum_C |X_C>><<X_C|, and
+    must be PSD.
     """
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     H = Operator(a + a.conj().T)
     bath = ThermalBathSpec(site=site, temperature=temperature, secular_cutoff=cutoff)
-    L, (dis,) = assemble_global_liouvillian(H, [bath])
+    L = assemble_global_liouvillian(H, [bath])[0].dense()
 
-    C = choi(dis.matrix_energy.toarray())
+    C = choi(L)
     omega = vectorize(np.eye(8)) / math.sqrt(8)
     P = np.eye(64) - np.outer(omega, omega)
     assert np.abs(C - C.conj().T).max() < 1e-12 * np.abs(C).max()
     assert np.linalg.eigvalsh(P @ C @ P).min() > -1e-12 * np.abs(C).max()
 
-    L = L.dense()
     assert np.abs(vectorize(np.eye(8)) @ L).max() < 1e-12 * np.abs(L).max()
     x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     lhs, rhs = unvectorize(L @ vectorize(x.conj().T)), unvectorize(L @ vectorize(x)).conj().T
@@ -230,7 +265,7 @@ def test_shared_generator_matches_fresh_assembly_per_bias(h, cutoff):
     generator = _HeatGenerator(H)
     for T1, Tn in ((10.1, 0.1), (0.1, 10.1)):
         baths = [ThermalBathSpec(first, T1, 0.8, cutoff), ThermalBathSpec(last, Tn, 0.8, cutoff)]
-        shared, fresh = generator(baths)[0].matrix, assemble_global_liouvillian(H, baths)[0].matrix
+        shared, fresh = generator.liouvillian(baths)[0].matrix, assemble_global_liouvillian(H, baths)[0].matrix
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(shared, attr), getattr(fresh, attr))
 
@@ -288,9 +323,8 @@ def test_evaluate_heat_diode_rejects_non_finite_baths(kwargs):
 def test_single_qubit_thermalizes_to_gibbs():
     H = Operator(0.9 * SIGMA_Z.astype(complex))
     bath = ThermalBathSpec(site=1, temperature=0.7)
-    L, diss = assemble_global_liouvillian(H, [bath])
+    L, U = assemble_global_liouvillian(H, [bath])
     rho_e = steady_state_solve(L).rho_ss.matrix
-    U = diss[0].U
     rho = U @ rho_e @ U.conj().T
     gibbs = np.diag(np.exp(-np.diag(H.matrix).real / 0.7))
     gibbs = gibbs / np.trace(gibbs)
@@ -302,9 +336,8 @@ def test_equal_temperature_chain_reaches_gibbs():
     T = 2.0
     H = small_hamiltonian(3)
     baths = [ThermalBathSpec(site=1, temperature=T), ThermalBathSpec(site=3, temperature=T)]
-    L, diss = assemble_global_liouvillian(H, baths)
+    L, U = assemble_global_liouvillian(H, baths)
     rho_e = steady_state_solve(L).rho_ss.matrix
-    U = diss[0].U
     rho = U @ rho_e @ U.conj().T
 
     w = np.linalg.eigvalsh(H.matrix)
@@ -314,53 +347,41 @@ def test_equal_temperature_chain_reaches_gibbs():
     assert np.abs(rho - gibbs).max() < 1e-10
 
     # no heat flows anywhere at equal temperatures
-    for d in diss:
-        assert abs(full_space_heat_current(H, d, rho)) < 1e-10
+    for bath in baths:
+        assert abs(full_space_heat_current(H, bath, rho)) < 1e-10
 
 
-def test_dissipator_apply_is_trace_free_and_hermiticity_preserving():
-    rng = np.random.default_rng(2)
-    H = small_hamiltonian(3)
-    d = global_dissipator(H, ThermalBathSpec(site=1, temperature=1.3))
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    rho = a @ a.conj().T
-    rho = rho / np.trace(rho).real
-    out = d.apply(rho)
-    assert abs(np.trace(out)) < 1e-10
-    assert np.abs(out - out.conj().T).max() < 1e-10
+def random_factor(rng, d, r):
+    """B with rho = B B' a random state of rank r."""
+    B = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    return B / np.linalg.norm(B)
+
+
+def generator_action(L, U, rho):
+    """L applied to rho in the computational basis: U L[U' rho U] U'."""
+    return U @ unvectorize(L.matrix @ vectorize(U.conj().T @ rho @ U)) @ U.conj().T
 
 
 def test_generator_matches_dissipator_sum():
-    """L vec(rho) equals -i[H, rho] + sum_b D_b[rho] entry for entry."""
+    """L vec(rho) equals -i[H, rho] + sum_b D_b[rho] entry for entry, on full-rank two-spin states."""
     rng = np.random.default_rng(4)
     H = small_hamiltonian(2)
     baths = [ThermalBathSpec(site=1, temperature=0.5), ThermalBathSpec(site=2, temperature=3.0)]
-    L, diss = assemble_global_liouvillian(H, baths)
-    U = diss[0].U
+    L, U = assemble_global_liouvillian(H, baths)
+    jumps = [cluster_jumps(eigen_operators(H, site_operator(2, b.site, SIGMA_X)), b) for b in baths]
     for _ in range(5):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rho = a @ a.conj().T
-        rho = rho / np.trace(rho).real
-        rho_e = U.conj().T @ rho @ U
-        lhs_e = unvectorize(L.matrix @ vectorize(rho_e))
-        lhs = U @ lhs_e @ U.conj().T
-        He = np.diag(np.linalg.eigvalsh(H.matrix)).astype(complex)
-        Hc = U @ He @ U.conj().T
-        rhs = -1j * (Hc @ rho - rho @ Hc)
-        for d in diss:
-            rhs = rhs + d.apply(rho)
-        assert np.abs(lhs - rhs).max() < 1e-10
+        B = random_factor(rng, 4, 4)
+        got = generator_action(L, U, B @ B.conj().T)
+        assert np.abs(got - gkls_action(H.matrix, jumps, B)).max() < 1e-10
 
 
 def test_heat_currents_balance_out_of_equilibrium():
     H = small_hamiltonian(3)
     baths = [ThermalBathSpec(site=1, temperature=4.0), ThermalBathSpec(site=3, temperature=0.2)]
-    L, diss = assemble_global_liouvillian(H, baths)
+    L, U = assemble_global_liouvillian(H, baths)
     rho_e = steady_state_solve(L).rho_ss.matrix
-    U = diss[0].U
     rho = U @ rho_e @ U.conj().T
-    K1 = full_space_heat_current(H, diss[0], rho)
-    K3 = full_space_heat_current(H, diss[1], rho)
+    K1, K3 = (full_space_heat_current(H, bath, rho) for bath in baths)
     assert K1 > 1e-6  # the hot bath heats the chain
     assert abs(K1 + K3) < 1e-10
     # the energy-basis flux form of the same state, with no rotation
@@ -377,15 +398,21 @@ def test_evaluate_heat_diode_tuned_point():
     assert max(m.balance) < 1e-8
 
 
+@functools.cache
+def heat_diode(spec, cutoff):
+    """evaluate_heat_diode at T_C = 0.1, T_H = 10.1 and gamma = 1, once per point."""
+    return evaluate_heat_diode(spec, T_C=0.1, T_H=10.1, gamma=1.0, secular_cutoff=cutoff)
+
+
 def test_partial_secular_point_solves_to_positive_states():
     """Heat_HQ at delta = 0.01, h = 5, J34 = 6.3 with cutoff 0.5: PSD states on both biases.
 
     About 4 s, nearly all in the LU: the cluster jumps couple coherences to
     populations, so each bath's dissipator holds 626k nonzeros (92k under the
     old pairing window) and the solved block has 2048 indices (228 before).
+    The point is solved once for this test and the full-space comparison.
     """
-    spec = ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=5.0, J34=6.3)
-    m = evaluate_heat_diode(spec, T_C=0.1, T_H=10.1, gamma=1.0, secular_cutoff=0.5)
+    m = heat_diode(ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=5.0, J34=6.3), 0.5)
     assert max(m.balance) < 1e-8
     for rho in (m.rho_f, m.rho_r):
         assert np.linalg.eigvalsh(rho.matrix).min() > -1e-12
@@ -393,14 +420,16 @@ def test_partial_secular_point_solves_to_positive_states():
 
 
 def full_space_heat_diode(spec, cutoff):
-    """Both biases of evaluate_heat_diode by the 4096-dim route: the full L, steady_state_solve, rotation."""
+    """Both biases of evaluate_heat_diode solved on all 4096 indices: the states, rotated back, and bath 1 of each.
+
+    Call with steadystate.reachable patched to return every index.
+    """
     H, (first, last) = build_hamiltonian(spec), chain_ends(spec)
     out = []
     for T1, Tn in ((10.1, 0.1), (0.1, 10.1)):
-        L, dissipators = assemble_global_liouvillian(H, [ThermalBathSpec(first, T1, 1.0, cutoff),
-                                                         ThermalBathSpec(last, Tn, 1.0, cutoff)])
-        U = dissipators[0].U
-        out.append((U @ steady_state_solve(L).rho_ss.matrix @ U.conj().T, dissipators))
+        baths = [ThermalBathSpec(first, T1, 1.0, cutoff), ThermalBathSpec(last, Tn, 1.0, cutoff)]
+        L, U = assemble_global_liouvillian(H, baths)
+        out.append((U @ steady_state_solve(L).rho_ss.matrix @ U.conj().T, baths[0]))
     return H, out
 
 
@@ -415,43 +444,46 @@ HEAT_POINTS = [
 
 
 @pytest.mark.parametrize("spec, cutoff", HEAT_POINTS)
-def test_heat_diode_matches_the_full_space_route(spec, cutoff):
-    """The energy-basis block route against the full L, its solve and tr(H D[rho]) via GlobalDissipator.apply.
+def test_heat_diode_matches_the_full_space_route(spec, cutoff, monkeypatch):
+    """The energy-basis block route against a solve of the whole L and tr(H D[rho]) from the one-bath L.
 
-    The reverse bias at h >= 7.5 relaxes through a mode at ~1e-13 of the spectral scale and
-    the cutoff-0.5 reverse bias through one at ~1e-10, so there 1-ulp differences of L move
-    rho_r by up to 2.9e-4 (7.6e-7 at cutoff 0.5) between the two routes; elsewhere both
-    states agree to 1e-10.  Each K is compared with tr(H D[rho]) of the same state: the
-    rotated trace loses up to 1.2e-13 (K_f) and 1.2e-14 (K_r) to cancellation.
+    The full-space solve factors all 4096 indices (steadystate.reachable patched).  The reverse
+    bias at h >= 7.5 relaxes through a mode at ~1e-13 of the spectral scale and the cutoff-0.5
+    reverse bias through one at ~1e-10, so there rounding moves rho_r by up to 1.1e-4 (2.2e-7
+    at cutoff 0.5) between the two solves; elsewhere both states agree to 1e-10.  Each K is
+    compared with full_space_heat_current of the same state, a trace over the one-bath
+    generator rather than heat_current's pair sum: the rotation into the energy basis loses
+    up to 1.2e-13 (K_f) and 1.2e-14 (K_r) to cancellation.
     """
-    m = evaluate_heat_diode(spec, secular_cutoff=cutoff)
-    H, ((rho_f, dis_f), (rho_r, dis_r)) = full_space_heat_diode(spec, cutoff)
+    m = heat_diode(spec, cutoff)
+    monkeypatch.setattr(steadystate, "reachable", lambda L, seeds: np.arange(L.dim))
+    H, ((rho_f, bath_f), (rho_r, bath_r)) = full_space_heat_diode(spec, cutoff)
     blocked = spec.h >= 7.5 or cutoff > 0.0
     assert np.abs(m.rho_f.matrix - rho_f).max() < 1e-10
     assert np.abs(m.rho_r.matrix - rho_r).max() < (1e-3 if blocked else 1e-10)
-    assert abs(m.K_f - full_space_heat_current(H, dis_f[0], m.rho_f.matrix)) < 2e-13
-    assert abs(m.K_r - full_space_heat_current(H, dis_r[0], m.rho_r.matrix)) < 2e-14
+    assert abs(m.K_f - full_space_heat_current(H, bath_f, m.rho_f.matrix)) < 2e-13
+    assert abs(m.K_r - full_space_heat_current(H, bath_r, m.rho_r.matrix)) < 2e-14
     assert max(m.balance) < 1e-12
 
 
 @pytest.mark.parametrize("h, cutoff", [(5.0, 0.0), (9.0, 0.0), (5.0, 0.5)])
-def test_one_pass_heat_generator_is_the_full_l(h, cutoff):
-    """The one-pass generator of both baths against assemble_global_liouvillian's per-bath sum.
+def test_heat_generator_acts_as_the_dense_gkls_oracle(h, cutoff):
+    """L applied to random states equals -i[H, rho] + sum_b D_b[rho] built from eigen_operators and bath_rate.
 
-    Equal patterns; the entries differ only in the order their parts are summed.
+    Six-spin Heat_HQ on its critical line, both biases, one random state of rank 8 each;
+    D_b[rho] = sum_C X_C rho X_C' - 1/2 {X_C'X_C, rho} with the cluster jumps of each bath, in
+    the computational basis (gkls_action).  No pair table or CSR enters the oracle.  Measured
+    differences are at most 1.8e-15 on entries of size 0.4-0.75.
     """
     H, (first, last) = heat_hq(h)
-    generator = _HeatGenerator(H)
+    pairs = {site: eigen_operators(H, site_operator(6, site, SIGMA_X)) for site in (first, last)}  # both biases
+    rng = np.random.default_rng(21)
     for T1, Tn in ((10.1, 0.1), (0.1, 10.1)):
         baths = [ThermalBathSpec(first, T1, 1.0, cutoff), ThermalBathSpec(last, Tn, 1.0, cutoff)]
-        got, pairs = generator.liouvillian(baths)
-        want = assemble_global_liouvillian(H, baths)[0]
-        assert len(pairs) == 2
-        for m in (got.matrix, want.matrix):
-            m.sort_indices()
-        assert np.array_equal(got.matrix.indptr, want.matrix.indptr)
-        assert np.array_equal(got.matrix.indices, want.matrix.indices)
-        assert np.abs(got.matrix.data - want.matrix.data).max() <= 1e-14 * np.abs(want.matrix.data).max()
+        L, U = assemble_global_liouvillian(H, baths)
+        B = random_factor(rng, 64, 8)
+        want = gkls_action(H.matrix, [cluster_jumps(pairs[bath.site], bath) for bath in baths], B)
+        assert np.abs(generator_action(L, U, B @ B.conj().T) - want).max() < 1e-12
 
 
 def test_evaluate_heat_diode_solves_each_bias_with_steady_state_solve(monkeypatch):

@@ -10,11 +10,11 @@ from spindiode import liouville
 from spindiode.liouville import (
     DissipatorKind,
     DissipatorSpec,
+    _pairs,
+    _superop,
+    _table,
     assemble_liouvillian,
     decoherence_channels,
-    hamiltonian_superop,
-    jump_superop,
-    local_dissipator_superop,
     propagate,
     reachable,
     unvectorize,
@@ -63,6 +63,11 @@ def brute_force_rhs(H, jumps, rho):
     return out
 
 
+def channel_superop(spec: DissipatorSpec, n):
+    """The superoperator of one local channel on an n-spin register: the generator with H = 0."""
+    return assemble_liouvillian(np.zeros((2**n, 2**n)), [spec]).matrix
+
+
 def ladder_jumps(spec: DissipatorSpec, n):
     up = site_operator(n, spec.site, SIGMA_PLUS).matrix
     dn = site_operator(n, spec.site, SIGMA_MINUS).matrix
@@ -94,7 +99,7 @@ def test_jump_superop_oracle():
     rng = np.random.default_rng(7)
     d = 8
     L = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    S = jump_superop(L, 0.7)
+    S = _superop(None, _pairs(_table([(0.7, L)])), d)
     for _ in range(5):
         rho = random_density(rng, d)
         got = unvectorize(S @ vectorize(rho))
@@ -105,7 +110,7 @@ def test_jump_superop_oracle():
 def test_hamiltonian_superop_oracle():
     rng = np.random.default_rng(9)
     H = build_hamiltonian(ModelSpec(variant=Variant.DIODE, Delta=2.0, delta=0.1, J34=-3.0))
-    S = hamiltonian_superop(H)
+    S = assemble_liouvillian(H, ()).matrix
     rho = random_density(rng, 64)
     got = unvectorize(S @ vectorize(rho))
     want = brute_force_rhs(H.matrix, [], rho)
@@ -237,10 +242,10 @@ def test_assembly_matches_brute_force_on_random_channel_mixes(mix):
     got = unvectorize(L.matrix @ vectorize(rho))
     want = brute_force_rhs(None if H is None else H.matrix, jumps, rho)
     assert np.abs(got - want).max() < 1e-12
-    # the public per-term superoperators sum to the same generator
-    parts = [local_dissipator_superop(spec, n) for spec in specs]
+    # the generators of the single terms sum to the same generator
+    parts = [channel_superop(spec, n) for spec in specs]
     if H is not None:
-        parts.append(hamiltonian_superop(H))
+        parts.append(assemble_liouvillian(H, ()).matrix)
     assert np.abs(sum(parts) - L.matrix).max() < 1e-12
 
 
@@ -278,7 +283,7 @@ def test_local_dissipator_modes():
     # pure decay: lam = 0 leaves only sigma- jumps
     rng = np.random.default_rng(13)
     spec = DissipatorSpec(site=2, gamma=0.9, lam=0.0)
-    S = local_dissipator_superop(spec, 3)
+    S = channel_superop(spec, 3)
     dn = site_operator(3, 2, SIGMA_MINUS).matrix
     rho = random_density(rng, 8)
     got = unvectorize(S @ vectorize(rho))
@@ -291,13 +296,13 @@ def test_decay_and_dephase_kinds():
     n = 2
     rho = random_density(rng, 4)
     decay = DissipatorSpec(site=1, gamma=0.25, kind=DissipatorKind.DECAY_T1)
-    S = local_dissipator_superop(decay, n)
+    S = channel_superop(decay, n)
     dn = site_operator(n, 1, SIGMA_MINUS).matrix
     assert_allclose(
         unvectorize(S @ vectorize(rho)), brute_force_rhs(None, [(dn, 0.25)], rho), atol=1e-13
     )
     deph = DissipatorSpec(site=2, gamma=0.4, kind=DissipatorKind.DEPHASE_T2)
-    S = local_dissipator_superop(deph, n)
+    S = channel_superop(deph, n)
     z = site_operator(n, 2, SIGMA_Z).matrix
     assert_allclose(
         unvectorize(S @ vectorize(rho)), brute_force_rhs(None, [(z, 0.4)], rho), atol=1e-13
@@ -324,7 +329,7 @@ def test_fermion_ladder_dissipator():
     rng = np.random.default_rng(17)
     n = 4
     spec = DissipatorSpec(site=3, gamma=0.8, lam=0.3, kind=DissipatorKind.FERMION_LADDER)
-    S = local_dissipator_superop(spec, n)
+    S = channel_superop(spec, n)
     a = string_fermion(n, 3)
     rho = random_density(rng, 16)
     want = brute_force_rhs(None, [(a.conj().T, 0.8 * 0.3), (a, 0.8 * 0.7)], rho)

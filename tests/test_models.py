@@ -366,6 +366,17 @@ def test_non_finite_local_field_is_named():
         ModelSpec(variant=Variant.DIODE, local_fields=(0.0, 0.0, float("nan"), 0.0, 0.0, 0.0))
 
 
+def test_json_booleans_are_not_numbers():
+    """JSON true loads as a bool, which Python counts as 1: a field given one is refused, not read as 1.0."""
+    with pytest.raises(ValueError, match="^Delta must be a number, got True"):
+        ModelSpec.from_json('{"variant": "Diode", "Delta": true, "J34": -6.3}')
+    with pytest.raises(ValueError, match="^local_fields must be a number"):
+        ModelSpec.from_json('{"variant": "Diode", "local_fields": [true, 0, 0, 0, 0, 0]}')
+    with pytest.raises(ValueError, match="^J must be a number"):
+        ModelSpec(variant=Variant.DIODE, J=True)
+    assert ModelSpec.from_json('{"variant": "Diode", "local_fields": [1, 0, 0, 0, 0, 0]}').local_fields[0] == 1.0
+
+
 def test_chain_ends_and_bonds():
     # ShadowCorrected keeps its baths on the six-spin chain, off the shadow qubit 7
     expected = {

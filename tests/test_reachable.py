@@ -26,6 +26,7 @@ from spindiode.liouville import (
     propagate,
     reachable,
     unvectorize,
+    vectorize,
 )
 from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34, critical_j34_heat
 from spindiode.observables import bias_dissipators
@@ -113,17 +114,20 @@ def test_heat_diode_matches_full_space_down_to_the_blocked_bias_floor(monkeypatc
     # block: block 3.8e-5 off, full space 7.4e-5); rho_f and both heat
     # currents are resolved, K_r ~ 5e-11 to the solve's 1e-15 floor.  The
     # full-space route: the whole L solved without a block, and
-    # tr(H D[rho]) in the computational basis
+    # K = tr(diag(eps) L_1[rho_e]) with L_1 the generator of bath 1 alone,
+    # whose coherent part has no diagonal
     spec = heat_spec(9.0)
     block = evaluate_heat_diode(spec)
     monkeypatch.setattr(steadystate, "reachable", lambda L, seeds: np.arange(L.dim))
     H = build_hamiltonian(spec)
+    eps = np.linalg.eigvalsh(H.matrix)
     full = []
     for T1, Tn in ((10.1, 0.1), (0.1, 10.1)):
-        L, dissipators = assemble_global_liouvillian(H, [ThermalBathSpec(1, T1), ThermalBathSpec(6, Tn)])
-        U = dissipators[0].U
-        rho = U @ steady_state_solve(L).rho_ss.matrix @ U.conj().T
-        full.append((rho, float(np.trace(H.matrix @ dissipators[0].apply(rho)).real)))
+        L, U = assemble_global_liouvillian(H, [ThermalBathSpec(1, T1), ThermalBathSpec(6, Tn)])
+        rho_e = steady_state_solve(L).rho_ss.matrix
+        L1 = assemble_global_liouvillian(H, [ThermalBathSpec(1, T1)])[0]
+        K = float(np.real(eps @ np.diag(unvectorize(L1.matrix @ vectorize(rho_e)))))
+        full.append((U @ rho_e @ U.conj().T, K))
     (rho_f, K_f), (_, K_r) = full
     assert np.abs(block.rho_f.matrix - rho_f).max() < 1e-10
     assert abs(block.K_f - K_f) < 1e-13

@@ -41,6 +41,12 @@ def test_axis_expansion():
         for num in (0, 2.5, True):
             with pytest.raises(ValueError, match=f"axes.delta: {kind} num must be a positive integer"):
                 SweepConfig.from_json(small_config(axes=[["delta", {kind: [0, 1, num]}]]))
+        # JSON true is a bool, which numpy would take as 1
+        for args in ([True, 2, 3], [0, False, 3]):
+            with pytest.raises(ValueError, match=f"axes.delta: {kind} start and stop must be numbers"):
+                SweepConfig.from_json(small_config(axes=[["delta", {kind: args}]]))
+    with pytest.raises(ValueError, match="axes.delta: values must be numbers"):
+        SweepConfig.from_json(small_config(axes=[["delta", [True, 2]]]))
 
 
 def test_config_validation_messages():
@@ -54,6 +60,8 @@ def test_config_validation_messages():
         SweepConfig.from_json(small_config(coupled={"J34": "__import__('os')"}))
     with pytest.raises(ValueError, match="unknown metric"):
         SweepConfig.from_json(small_config(outputs=["K_f"]))
+    with pytest.raises(ValueError, match="outputs.R: duplicate output"):
+        SweepConfig.from_json(small_config(outputs=["R", "J_f", "R"]))
     with pytest.raises(ValueError, match="unknown config fields"):
         SweepConfig.from_json(small_config(extra_block={}))
     with pytest.raises(ValueError, match="bath"):
@@ -375,6 +383,22 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert rc == 2
         assert "invalid sweep config" in capsys.readouterr().err
     assert not (tmp_path / "refused.csv").exists()
+
+    # JSON true is refused wherever a number is read, not taken as 1.0
+    booleans = [{"model": {**TUNED, "Delta": True}}, {"model": {**TUNED, "local_fields": [True] + [0.0] * 5}},
+                {"bath": {"gamma": True}}, {"axes": [["Delta", [True, 2.0]]]},
+                {"axes": [["Delta", {"linspace": [True, 2.0, 3]}]]}]
+    for overrides in booleans:
+        cfg = tmp_path / "boolean.json"
+        cfg.write_text(small_config(**overrides))
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "boolean.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid sweep config" in err and "must be" in err and "number" in err
+    assert not (tmp_path / "boolean.csv").exists()
+    rc = main(["steady", "--model", json.dumps({**TUNED, "Delta": True}), "--bias", "forward"])
+    assert rc == 2
+    assert "invalid model: Delta must be a number" in capsys.readouterr().err
 
     # a bad bath coupling is refused before any solve
     model = json.dumps(TUNED)
