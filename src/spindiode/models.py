@@ -96,7 +96,7 @@ class ModelSpec:
     """Declarative description of one Hamiltonian variant.
 
     All energies are in units of J, so ``J`` itself must be 1.0; every
-    numeric field must be a finite number, not a bool.  ``local_fields`` adds
+    numeric field must be a finite number, not a bool or a string.  ``local_fields`` adds
     sum_i local_fields[i-1] * sigma_z^(i) on top of any variant; it must
     have one entry per site.  For ShadowCorrected, ``omega_drive=None``
     resolves to Delta + 1.2 (the empirically best drive detuning) and the
@@ -123,7 +123,8 @@ class ModelSpec:
         if not isinstance(self.variant, Variant):
             object.__setattr__(self, "variant", Variant(self.variant))
         if self.local_fields is not None:
-            fields = tuple(x if isinstance(x, bool) else float(x) for x in self.local_fields)  # validate refuses a bool
+            # validate refuses a bool or a string
+            fields = tuple(x if isinstance(x, (bool, str)) else float(x) for x in self.local_fields)
             object.__setattr__(self, "local_fields", fields)
         self.validate()
 
@@ -133,13 +134,13 @@ class ModelSpec:
 
     def validate(self) -> None:
         if self.J != 1.0:
-            raise ValueError(f"J is the unit of energy and must be 1.0, got {self.J}")
+            raise ValueError(f"J is the unit of energy and must be 1.0, got {self.J!r}")
         active = _VARIANTS[self.variant].knobs
         for f in dc_fields(self):
             value = getattr(self, f.name)
             items = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(x, bool) for x in items):
-                raise ValueError(f"{f.name} must be a number, got {value}")
+            if any(isinstance(x, (bool, str)) for x in items):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             if f.name != "variant" and value is not None and not all(map(math.isfinite, items)):
                 raise ValueError(f"{f.name} must be finite, got {value}")
             # a knob the variant does not take must keep its default (nonzero for the shadow qubit)

@@ -20,10 +20,13 @@ matrices to Hermitian ones, so there it is a real map), replaces its first
 row with the trace functional and solves L' x = e_0; its residual against
 the full L is checked, so accidentally hitting a degenerate point
 (delta = 0) fails loudly instead of returning an arbitrary mixture.
+Every LU (:func:`_splu`) reuses one column ordering per sparsity pattern,
+and the solve refines to convergence, so no answer depends on the ordering.
 """
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -49,6 +52,7 @@ __all__ = [
 # population block, where true ones stay below 3.3e-16 and the slowest heat mode lies at 9.5e-15
 _NULL_RTOL = 1e-9
 _BLOCK_NULL_RTOL = 1e-15
+_MAX_REFINE = 10
 
 
 @dataclass
@@ -96,9 +100,36 @@ def _orthonormal_span(mats: list[np.ndarray], tol: float) -> list[np.ndarray]:
     return [(v[:n] + 1j * v[n:]).reshape(mats[0].shape) for v in vt[s > tol]]
 
 
+# MMD column orderings (SuperLU perm_c) by digest of the stored pattern of A, oldest out past _MAX_ORDERINGS
+_ORDERINGS: dict[bytes, np.ndarray] = {}
+_MAX_ORDERINGS = 32
+
+
 def _splu(A: sp.spmatrix):
-    """SuperLU in symmetric mode: L's pattern is nearly symmetric, so it fills less than COLAMD."""
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+    """b -> A^-1 b (1-D or 2-D b) by SuperLU in symmetric mode, in a cached MMD ordering q.
+
+    L's pattern is nearly symmetric, so minimum degree on A + A^T fills less than COLAMD.  That
+    ordering reads only the pattern, which a sweep's points share, so it is found once per
+    pattern and A is always factored as A[q][:, q] in NATURAL order: its bits do not depend on
+    what the table holds.  The key is A's own pattern, finer than A + A^T's but far cheaper to
+    digest (and MMD's tie-breaks read it).  A wrong entry costs fill, never accuracy: SuperLU
+    still pivots, and _solve_block refines.
+    """
+    A, opts = A.tocsc(), dict(diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+    key = hashlib.blake2b(A.indptr.tobytes() + A.indices.tobytes(), digest_size=16).digest()
+    p = _ORDERINGS.get(key)
+    if p is None:
+        # an incomplete LU that drops all fill runs the same MMD preordering for a fraction of a
+        # full LU's cost; ones on A's pattern plus a dominant diagonal (which MMD ignores) keep it
+        # nonsingular.  perm_c[i] = j puts column i of A at position j.
+        P = sp.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape) + A.nnz * sp.eye(A.shape[0])
+        p = spla.spilu(P.tocsc(), drop_tol=1.0, fill_factor=1, permc_spec="MMD_AT_PLUS_A", **opts).perm_c
+        if len(_ORDERINGS) >= _MAX_ORDERINGS:
+            del _ORDERINGS[next(iter(_ORDERINGS))]
+        _ORDERINGS[key] = p
+    q = np.argsort(p)
+    lu = spla.splu(A[q][:, q], permc_spec="NATURAL", **opts)
+    return lambda b: lu.solve(b[q])[p]  # A[q][:, q] x[q] = b[q], and p inverts q
 
 
 def _eigs_near_zero(M: sp.spmatrix, scale: float, tol: float, return_eigenvectors: bool = True):
@@ -111,7 +142,7 @@ def _eigs_near_zero(M: sp.spmatrix, scale: float, tol: float, return_eigenvector
     grows with k: scipy's max(2k + 1, 20) stalls ARPACK on degenerate spectra at k = 16.
     """
     n, sigma = M.shape[0], 1e-6 * max(scale, 1.0)
-    OPinv = spla.LinearOperator(M.shape, _splu(M - sigma * sp.eye(n, dtype=M.dtype)).solve, dtype=M.dtype)
+    OPinv = spla.LinearOperator(M.shape, _splu(M - sigma * sp.eye(n, dtype=M.dtype)), dtype=M.dtype)
     k = min(4, n - 2)
     while True:
         out = spla.eigs(M, k=k, sigma=sigma, which="LM", ncv=min(n, max(20, 3 * k)), OPinv=OPinv,
@@ -259,9 +290,13 @@ def _block_system(L: Liouvillian) -> _BlockSystem:
 def _solve_block(system: _BlockSystem) -> SteadyStateResult:
     """The solve step of :func:`steady_state_solve`: trace row, LU, refinement, probe, state, residual.
 
-    Only R is factored.  The gain and null bounds scale with the norms of the whole L, not of
-    the block, and the residual is taken against the whole L: in the energy basis of a heat
-    chain the coherent part sets ||L||_inf outside the population block.
+    Refinement runs while the correction shrinks and until it reaches the rounding level of x,
+    at most _MAX_REFINE steps, each residual b - Ax in np.longdouble, so x does not depend on the
+    LU's ordering (the gated presets agree in R and J_r to 5e-11 between MMD, COLAMD and the
+    cached ordering; one float64 step left 1e-8).  Only R is factored.  The gain and null
+    bounds scale with the norms of the whole L, not of the block, and the residual is taken
+    against the whole L: in the energy basis of a heat chain the coherent part sets ||L||_inf
+    outside the population block.
     """
     idx, R, Q, L = system
     n, d = idx.size, L.hilbert_dim
@@ -271,14 +306,20 @@ def _solve_block(system: _BlockSystem) -> SteadyStateResult:
                        np.r_[0, R.indptr[1:] - h + pop.size]), shape=(n, n)).tocsc()
     b = np.r_[1.0, np.zeros(n - 1)]
     try:
-        lu = _splu(A)
+        solve = _splu(A)
     except RuntimeError as exc:  # SuperLU: a failed or exactly singular factorization
         raise RuntimeError(
             f"trace-constrained system ({n} x {n} block) is singular, its LU factorization failed; "
             "the steady state is degenerate (delta = 0 or gamma = 0?) - use steady_states() instead"
         ) from exc
-    x = lu.solve(b)
-    x += lu.solve(b - A @ x)  # one step of iterative refinement
+    x, A_ext, step = solve(b), A.astype(np.longdouble), np.inf
+    for _ in range(_MAX_REFINE):
+        dx = solve((b - A_ext @ x).astype(float))
+        if not (size := np.abs(dx).max()) < step:
+            break
+        x, step = x + dx, size
+        if size <= np.finfo(float).eps * np.abs(x).max():  # at the rounding level of x
+            break
 
     scale = max(spla.norm(L.matrix, "fro"), 1.0)
     rng = np.random.default_rng(0x5D10DE)
@@ -288,7 +329,7 @@ def _solve_block(system: _BlockSystem) -> SteadyStateResult:
     # < 5e5 at generic unique points, 8e7 at delta = 1e-3, 2e17 to 3e17 on a
     # degenerate manifold, but also up to 8e14 at strongly rectifying thermal
     # points (h >= 7.5) whose blocked channel relaxes at ~1e-14 of the scale
-    gain = float(np.linalg.norm(lu.solve(probe))) * scale
+    gain = float(np.linalg.norm(solve(probe))) * scale
     if gain > 1e10:
         sscale = spla.norm(L.matrix, np.inf)
         w, null_idx = _eigs_near_zero(R, sscale, _BLOCK_NULL_RTOL * sscale, return_eigenvectors=False)

@@ -58,7 +58,7 @@ class BathConfig:
     frequency clusters that share a jump (see ``ThermalBathSpec``); a
     non-finite temperature, gamma or cutoff fails its point with ValueError.
     A field the mode does not read must keep its default, ``dT`` cannot stand
-    beside a non-default ``T_H``, and a bool is no number: each raises ValueError.
+    beside a non-default ``T_H``, and a bool or a string is no number: each raises ValueError.
     """
 
     mode: str = "spin"
@@ -74,8 +74,8 @@ class BathConfig:
             raise ValueError(f"bath.mode must be spin, heat or fermion, got {self.mode!r}")
         for f in dc_fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, bool):
-                raise ValueError(f"bath.{f.name} must be a number, got {value}")
+            if isinstance(value, bool) or (isinstance(value, str) and f.name != "mode"):
+                raise ValueError(f"bath.{f.name} must be a number, got {value!r}")
             if f.name not in _MODES[self.mode].bath_fields | {"mode"} and value != f.default:
                 raise ValueError(f"bath.{f.name}: {self.mode} mode does not read it (got {f.name}={value})")
         if self.dT is not None and self.T_H != BathConfig.T_H:
@@ -225,7 +225,7 @@ class SweepConfig:
 
 
 def _expand_axis(name: str, values) -> tuple[float, ...]:
-    """Explicit list, or {linspace|logspace: [start, stop, num]}; a bool (JSON ``true``) is no number."""
+    """Explicit list, or {linspace|logspace: [start, stop, num]}; a bool (JSON ``true``) or a string is no number."""
     if isinstance(values, dict):
         if len(values) != 1:
             raise ValueError(f"axes.{name}: descriptor must have exactly one key")
@@ -235,11 +235,11 @@ def _expand_axis(name: str, values) -> tuple[float, ...]:
         if not isinstance(args, (list, tuple)) or len(args) != 3:
             raise ValueError(f"axes.{name}: {kind} takes [start, stop, num], got {args!r}")
         start, stop, num = args
-        if isinstance(start, bool) or isinstance(stop, bool):
+        if any(isinstance(x, (bool, str)) for x in (start, stop)):
             raise ValueError(f"axes.{name}: {kind} start and stop must be numbers, got {args!r}")
         space = np.linspace if kind == "linspace" else np.logspace
         return tuple(float(x) for x in space(start, stop, positive_int(f"axes.{name}: {kind} num", num)))
-    if any(isinstance(x, bool) for x in values):
+    if any(isinstance(x, (bool, str)) for x in values):
         raise ValueError(f"axes.{name}: values must be numbers, got {values!r}")
     return tuple(float(x) for x in values)
 

@@ -466,6 +466,53 @@ def test_heat_diode_matches_the_full_space_route(spec, cutoff, monkeypatch):
     assert max(m.balance) < 1e-12
 
 
+@functools.cache
+def sigma_x_pairs(h, site):
+    """eigen_operators of sigma_x at one site of heat_hq(h), once per h and site."""
+    return eigen_operators(heat_hq(h)[0], site_operator(6, site, SIGMA_X))
+
+
+def dense_gkls_residual(h, rho, T1, Tn):
+    """max |-i[H, rho] + sum_b D_b[rho]| at heat_hq(h), baths at T1 on site 1 and Tn on site 6, from gkls_action.
+
+    The baths are those of heat_diode; the jumps come from eigen_operators and bath_rate alone.
+    """
+    H, (first, last) = heat_hq(h)
+    baths = [ThermalBathSpec(first, T1, 1.0), ThermalBathSpec(last, Tn, 1.0)]
+    w, v = np.linalg.eigh(rho)
+    B = v * np.sqrt(np.clip(w, 0.0, None))  # rho = B B'
+    return np.abs(gkls_action(H.matrix, [cluster_jumps(sigma_x_pairs(h, b.site), b) for b in baths], B)).max()
+
+
+@pytest.mark.parametrize("h", [1.0, 5.0])
+def test_heat_states_are_null_vectors_of_the_dense_gkls_oracle(h):
+    """The block-route states of the on-line full-space points, checked independently of the solver.
+
+    At these points the full-space solve returns the block solve's states bit for bit, so only
+    the dense oracle checks them.  Measured residuals: 1.0e-15 to 4.0e-15.
+    """
+    m = heat_diode(ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=h, J34=h + 1.3), 0.0)
+    assert dense_gkls_residual(h, m.rho_f.matrix, 10.1, 0.1) <= 1e-12
+    assert dense_gkls_residual(h, m.rho_r.matrix, 0.1, 10.1) <= 1e-12
+
+
+def test_dense_state_check_sees_a_rate_off_by_a_millionth(monkeypatch):
+    """Rates of the site-1 bath scaled by 1 + 1e-6 in the solver only: the oracle sees a wrong state.
+
+    Measured: 2.6e-8 on the forward state (the blocked reverse state stays at 3.3e-15).
+    """
+    jumps = _HeatGenerator.jumps
+
+    def scaled(self, bath):
+        *table, rates = jumps(self, bath)
+        return *table, rates * (1.0 + 1e-6 if bath.site == 1 else 1.0)
+
+    monkeypatch.setattr(_HeatGenerator, "jumps", scaled)
+    spec = ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=5.0, J34=6.3)
+    m = evaluate_heat_diode(spec, T_C=0.1, T_H=10.1, gamma=1.0)
+    assert dense_gkls_residual(5.0, m.rho_f.matrix, 10.1, 0.1) > 1e-12
+
+
 @pytest.mark.parametrize("h, cutoff", [(5.0, 0.0), (9.0, 0.0), (5.0, 0.5)])
 def test_heat_generator_acts_as_the_dense_gkls_oracle(h, cutoff):
     """L applied to random states equals -i[H, rho] + sum_b D_b[rho] built from eigen_operators and bath_rate.
@@ -476,7 +523,7 @@ def test_heat_generator_acts_as_the_dense_gkls_oracle(h, cutoff):
     differences are at most 1.8e-15 on entries of size 0.4-0.75.
     """
     H, (first, last) = heat_hq(h)
-    pairs = {site: eigen_operators(H, site_operator(6, site, SIGMA_X)) for site in (first, last)}  # both biases
+    pairs = {site: sigma_x_pairs(h, site) for site in (first, last)}  # both biases
     rng = np.random.default_rng(21)
     for T1, Tn in ((10.1, 0.1), (0.1, 10.1)):
         baths = [ThermalBathSpec(first, T1, 1.0, cutoff), ThermalBathSpec(last, Tn, 1.0, cutoff)]

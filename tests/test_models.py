@@ -377,6 +377,16 @@ def test_json_booleans_are_not_numbers():
     assert ModelSpec.from_json('{"variant": "Diode", "local_fields": [1, 0, 0, 0, 0, 0]}').local_fields[0] == 1.0
 
 
+def test_json_strings_are_not_numbers():
+    """A quoted number is refused by name, not parsed and not left to fail inside numpy."""
+    with pytest.raises(ValueError, match="^Delta must be a number, got '5'"):
+        ModelSpec.from_json('{"variant": "Diode", "Delta": "5", "J34": -6.3}')
+    with pytest.raises(ValueError, match="^local_fields must be a number"):
+        ModelSpec.from_json('{"variant": "Diode", "local_fields": ["1", 0, 0, 0, 0, 0]}')
+    with pytest.raises(ValueError, match="^J is the unit of energy and must be 1.0, got '1'"):
+        ModelSpec(variant=Variant.DIODE, J="1")
+
+
 def test_chain_ends_and_bonds():
     # ShadowCorrected keeps its baths on the six-spin chain, off the shadow qubit 7
     expected = {

@@ -124,7 +124,7 @@ def test_degeneracy_is_counted_past_the_first_eigenvalues(n, sites):
 
 
 def test_steady_states_grows_its_eigenvalue_count_only_when_needed(monkeypatch):
-    calls, lus, eigs, splu = [], [], steadystate.spla.eigs, steadystate.spla.splu
+    calls, lus, eigs, splu, spilu = [], [], steadystate.spla.eigs, steadystate.spla.splu, steadystate.spla.spilu
 
     def counting(*args, **kwargs):
         calls.append(kwargs["k"])
@@ -132,15 +132,69 @@ def test_steady_states_grows_its_eigenvalue_count_only_when_needed(monkeypatch):
 
     monkeypatch.setattr(steadystate.spla, "eigs", counting)
     monkeypatch.setattr(steadystate.spla, "splu", lambda A, **kwargs: lus.append(A.shape) or splu(A, **kwargs))
+    monkeypatch.setattr(steadystate.spla, "spilu", lambda A, **kwargs: lus.append("order") or spilu(A, **kwargs))
+    monkeypatch.setattr(steadystate, "_ORDERINGS", {})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert steady_states(boundary_driven(0.0, hot=6, cold=1)).degeneracy == 2
-        assert len(calls) == 1 and lus == [(4096, 4096)]
+        assert len(calls) == 1 and lus == ["order", (4096, 4096)]  # the ordering pass, then the factorization
+        steady_states(boundary_driven(0.0, hot=6, cold=1))
+        assert lus == ["order", (4096, 4096), (4096, 4096)]  # a repeat call reuses the ordering
         calls.clear()
         lus.clear()
         assert steady_states(dephased(3, (1, 2))).degeneracy == 16
     assert calls == [4, 8, 16, 32]  # doubled while every computed eigenvalue was null
-    assert lus == [(64, 64)]  # one factorization of L - sigma*I serves every k
+    assert lus == ["order", (64, 64)]  # after the ordering pass, one factorization of L - sigma*I serves every k
+
+
+def diode_point(delta=0.02):
+    return evaluate_diode(ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=delta, J34=critical_j34(5.0)))
+
+
+def test_ordering_table_leaves_the_bits_alone(monkeypatch):
+    """A point solved cold, warm and after a point of another pattern gives the same bits.
+
+    The reverse block shares the pattern of A + A^T with the forward one but not its MMD ordering
+    (SuperLU's tie-breaks read A's own pattern), so it also gives the same bits solved first.
+    """
+    monkeypatch.setattr(steadystate, "_ORDERINGS", {})
+    reverse_first = steady_state_solve(boundary_driven(0.02, hot=6, cold=1)).rho_ss.matrix
+    monkeypatch.setattr(steadystate, "_ORDERINGS", {})
+    cold = diode_point()
+    assert len(steadystate._ORDERINGS) == 2  # one pattern per bias
+    warm = diode_point()
+    steady_state_solve(small_chain())
+    assert len(steadystate._ORDERINGS) == 3
+    after = diode_point()
+    assert np.array_equal(cold.rho_r.matrix, reverse_first)
+    for m in (warm, after):
+        assert (m.J_f, m.J_r, m.R) == (cold.J_f, cold.J_r, cold.R)
+        assert np.array_equal(m.rho_f.matrix, cold.rho_f.matrix)
+        assert np.array_equal(m.rho_r.matrix, cold.rho_r.matrix)
+
+
+def test_answers_do_not_depend_on_the_ordering(monkeypatch):
+    """The refined solve through another valid ordering of the same pattern agrees to 1e-10."""
+    monkeypatch.setattr(steadystate, "_ORDERINGS", {})
+    ref = diode_point()
+    for key, perm in steadystate._ORDERINGS.items():
+        steadystate._ORDERINGS[key] = perm[::-1].copy()
+    other = diode_point()
+    assert other.J_r != ref.J_r  # another ordering, other rounding
+    for name in ("J_f", "J_r", "R"):
+        assert getattr(other, name) == pytest.approx(getattr(ref, name), rel=1e-10, abs=0.0)
+
+
+def test_a_new_pattern_misses_and_still_solves(monkeypatch):
+    """A full table drops its oldest entry; a miss solves, and delta = 0 is still refused."""
+    table = {bytes([k]): None for k in range(steadystate._MAX_ORDERINGS)}
+    monkeypatch.setattr(steadystate, "_ORDERINGS", table)
+    assert steady_state_solve(boundary_driven(0.02, hot=6, cold=1)).residual < 1e-10
+    assert len(table) == steadystate._MAX_ORDERINGS and bytes([0]) not in table
+    with pytest.raises(RuntimeError, match="degenerate"):
+        steady_state_solve(boundary_driven(0.0, hot=6, cold=1))
+    assert steady_state_solve(small_chain()).residual < 1e-10
+    assert len(table) == steadystate._MAX_ORDERINGS and bytes([1]) not in table
 
 
 def test_arbitration_margins_around_the_threshold():

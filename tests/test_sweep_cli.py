@@ -41,12 +41,13 @@ def test_axis_expansion():
         for num in (0, 2.5, True):
             with pytest.raises(ValueError, match=f"axes.delta: {kind} num must be a positive integer"):
                 SweepConfig.from_json(small_config(axes=[["delta", {kind: [0, 1, num]}]]))
-        # JSON true is a bool, which numpy would take as 1
-        for args in ([True, 2, 3], [0, False, 3]):
+        # JSON true is a bool, which numpy would take as 1, and a string is no number either
+        for args in ([True, 2, 3], [0, False, 3], ["0.01", 0.02, 2], [0, "1", 3]):
             with pytest.raises(ValueError, match=f"axes.delta: {kind} start and stop must be numbers"):
                 SweepConfig.from_json(small_config(axes=[["delta", {kind: args}]]))
-    with pytest.raises(ValueError, match="axes.delta: values must be numbers"):
-        SweepConfig.from_json(small_config(axes=[["delta", [True, 2]]]))
+    for values in ([True, 2], ["0.01"]):
+        with pytest.raises(ValueError, match="axes.delta: values must be numbers"):
+            SweepConfig.from_json(small_config(axes=[["delta", values]]))
 
 
 def test_config_validation_messages():
@@ -384,21 +385,26 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert "invalid sweep config" in capsys.readouterr().err
     assert not (tmp_path / "refused.csv").exists()
 
-    # JSON true is refused wherever a number is read, not taken as 1.0
-    booleans = [{"model": {**TUNED, "Delta": True}}, {"model": {**TUNED, "local_fields": [True] + [0.0] * 5}},
-                {"bath": {"gamma": True}}, {"axes": [["Delta", [True, 2.0]]]},
-                {"axes": [["Delta", {"linspace": [True, 2.0, 3]}]]}]
-    for overrides in booleans:
-        cfg = tmp_path / "boolean.json"
-        cfg.write_text(small_config(**overrides))
-        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "boolean.csv")])
+    # JSON true and strings are refused wherever a number is read, not taken as 1.0 or parsed
+    for value in (True, "5"):
+        not_numbers = [
+            ({"model": {**TUNED, "Delta": value}}, "Delta"),
+            ({"model": {**TUNED, "local_fields": [value] + [0.0] * 5}}, "local_fields"),
+            ({"bath": {"gamma": value}}, "bath.gamma"),
+            ({"axes": [["Delta", [value, 2.0]]]}, "axes.Delta"),
+            ({"axes": [["Delta", {"linspace": [value, 2.0, 3]}]]}, "axes.Delta"),
+        ]
+        for overrides, field in not_numbers:
+            cfg = tmp_path / "not_a_number.json"
+            cfg.write_text(small_config(**overrides))
+            rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "not_a_number.csv")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "invalid sweep config" in err and field in err and "must be" in err and "number" in err
+        assert not (tmp_path / "not_a_number.csv").exists()
+        rc = main(["steady", "--model", json.dumps({**TUNED, "Delta": value}), "--bias", "forward"])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "invalid sweep config" in err and "must be" in err and "number" in err
-    assert not (tmp_path / "boolean.csv").exists()
-    rc = main(["steady", "--model", json.dumps({**TUNED, "Delta": True}), "--bias", "forward"])
-    assert rc == 2
-    assert "invalid model: Delta must be a number" in capsys.readouterr().err
+        assert "invalid model: Delta must be a number" in capsys.readouterr().err
 
     # a bad bath coupling is refused before any solve
     model = json.dumps(TUNED)
