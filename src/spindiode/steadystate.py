@@ -121,9 +121,9 @@ def _splu(A: sp.spmatrix):
     if p is None:
         # an incomplete LU that drops all fill runs the same MMD preordering for a fraction of a
         # full LU's cost; ones on A's pattern plus a dominant diagonal (which MMD ignores) keep it
-        # nonsingular.  perm_c[i] = j puts column i of A at position j.
+        # nonsingular.  perm_c[i] = j puts column i of A at position j; a copy, as it views the ILU.
         P = sp.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape) + A.nnz * sp.eye(A.shape[0])
-        p = spla.spilu(P.tocsc(), drop_tol=1.0, fill_factor=1, permc_spec="MMD_AT_PLUS_A", **opts).perm_c
+        p = spla.spilu(P.tocsc(), drop_tol=1.0, fill_factor=1, permc_spec="MMD_AT_PLUS_A", **opts).perm_c.copy()
         if len(_ORDERINGS) >= _MAX_ORDERINGS:
             del _ORDERINGS[next(iter(_ORDERINGS))]
         _ORDERINGS[key] = p
