@@ -78,8 +78,8 @@ def _cmd_figure(args) -> int:
 
 def _cmd_steady(args) -> int:
     raw = args.model
-    if Path(raw).is_file():
-        raw = Path(raw).read_text()
+    if not raw.lstrip().startswith("{"):  # a path; an inline document can be longer than a file name may be
+        raw = _load_text(raw, "model file")
     try:
         spec = ModelSpec.from_json(raw)
     except (ValueError, TypeError, KeyError) as exc:
@@ -90,15 +90,15 @@ def _cmd_steady(args) -> int:
     H = build_hamiltonian(spec)
     dissipators = bias_dissipators(spec, args.gamma)[0 if args.bias == "forward" else 1]
     ops = [spin_current_op(spec.n_sites, *bond) for bond in current_bonds(spec)]
-    result, j_a, j_b = solve_bias(H, dissipators, ops)
+    result, J, continuity = solve_bias(H, dissipators, ops)
     doc = {
         "variant": spec.variant.value,
         "bias": args.bias,
         "hot_site": dissipators[0].site,
         "cold_site": dissipators[1].site,
         "gamma": args.gamma,
-        "J": 0.5 * (j_a + j_b),
-        "continuity": abs(j_a - j_b),
+        "J": J,
+        "continuity": continuity,
         "magnetization": [float(x) for x in magnetization_profile(result.rho_ss)],
         "residual": result.residual,
     }
@@ -127,7 +127,7 @@ def _parser() -> argparse.ArgumentParser:
     figure.set_defaults(func=_cmd_figure)
 
     steady = sub.add_parser("steady", help="solve one steady state, print metrics JSON")
-    steady.add_argument("--model", required=True, help="model JSON (inline or a file path)")
+    steady.add_argument("--model", required=True, help="model JSON: an inline object, or a file path")
     steady.add_argument("--bias", choices=("forward", "reverse"), required=True)
     steady.add_argument("--gamma", type=float, default=1.0, help="bath coupling (default 1)")
     steady.set_defaults(func=_cmd_steady)

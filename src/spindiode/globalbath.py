@@ -32,9 +32,9 @@ transition pairs and solves it with ``steady_state_solve``, the solve of
 the spin chains, which factors only the block reachable from the
 populations (64-66 of 4096 indices for six spins at cutoff 0).  Each
 bath's current comes from the energy-basis state and the bath's pairs.
-``assemble_global_liouvillian`` and ``GlobalDissipator.apply``, which
-build one superoperator per bath, stay as the reference the tests
-compare against.
+The tests check the generator and its states against dense GKLS oracles
+built from :func:`eigen_operators` and :func:`bath_rate` alone
+(``tests/test_globalbath.py``).
 """
 
 from __future__ import annotations

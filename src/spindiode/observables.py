@@ -17,7 +17,7 @@ import numpy as np
 
 from .liouville import DissipatorKind, DissipatorSpec, assemble_liouvillian
 from .models import ModelSpec, Variant, build_hamiltonian, chain_ends, current_bonds
-from .spinops import SIGMA_X, SIGMA_Y, SIGMA_Z, Operator, StateVector, _as_matrix, site_operator
+from .spinops import SIGMA_X, SIGMA_Y, SIGMA_Z, Operator, StateVector, _as_matrix, fidelity_mixed, site_operator
 from .steadystate import SteadyStateResult, steady_state_solve
 
 __all__ = [
@@ -101,28 +101,6 @@ def fidelity_pure(rho, psi: StateVector) -> float:
     return float(np.real(v.conj() @ m @ v))
 
 
-def _psd_sqrt(m: np.ndarray, what: str) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    if w.min() < -1e-8:
-        raise ValueError(f"{what} is not positive semidefinite (eigenvalue {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity_mixed(rho, sigma) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(s) r sqrt(s)))^2, symmetric in r, s."""
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
-    if r.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    rs = _psd_sqrt(s, "sigma")
-    inner = rs @ r @ rs
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    if w.min() < -1e-8:
-        raise ValueError(f"rho is not positive semidefinite (eigenvalue {w.min():.3e})")
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-
-
 def concurrence(rho) -> float:
     """Wootters concurrence of a two-spin density matrix.
 
@@ -169,40 +147,29 @@ def bias_dissipators(
 
 
 def solve_bias(H, dissipators, current_ops) -> tuple[SteadyStateResult, float, float]:
-    """Steady state of H under one bias and the currents of the two bonds.
+    """Steady state of H under one bias, its current and the current's continuity.
 
-    ``current_ops`` holds the first- and last-bond current operators.
+    ``current_ops`` holds the first- and last-bond current operators.  The
+    current is the mean of the two bond currents, the continuity their
+    absolute difference.
     """
     result = steady_state_solve(assemble_liouvillian(H, dissipators))
     rho = result.rho_ss.matrix
     j_first, j_last = (float(np.trace(op.matrix @ rho).real) for op in current_ops)
-    return result, j_first, j_last
+    return result, 0.5 * (j_first + j_last), abs(j_first - j_last)
 
 
 def diode_metrics(H, biases, current_ops) -> DiodeMetrics:
-    """Solve the forward and reverse channel lists and form R and C.
-
-    The reported current per bias is the mean of the first- and
-    last-bond currents; ``continuity`` keeps their difference.
-    """
-    currents = []
-    continuity = []
-    states = []
-    for dissipators in biases:
-        result, j_a, j_b = solve_bias(H, dissipators, current_ops)
-        currents.append(0.5 * (j_a + j_b))
-        continuity.append(abs(j_a - j_b))
-        states.append(result.rho_ss)
-
-    J_f, J_r = currents
+    """Solve the forward and reverse channel lists with :func:`solve_bias` and form R and C."""
+    (res_f, J_f, cont_f), (res_r, J_r, cont_r) = (solve_bias(H, d, current_ops) for d in biases)
     return DiodeMetrics(
         J_f=J_f,
         J_r=J_r,
         R=rectification(J_f, J_r),
         C=contrast(J_f, J_r),
-        continuity=(continuity[0], continuity[1]),
-        rho_f=states[0],
-        rho_r=states[1],
+        continuity=(cont_f, cont_r),
+        rho_f=res_f.rho_ss,
+        rho_r=res_r.rho_ss,
     )
 
 

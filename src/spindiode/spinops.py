@@ -30,6 +30,7 @@ __all__ = [
     "exchange_xx",
     "coupling_zz",
     "partial_trace",
+    "fidelity_mixed",
     "total_sz",
     "swap_operator",
     "product_state",
@@ -278,6 +279,28 @@ def partial_trace(rho, keep: Sequence[int]) -> Operator:
         nn -= 1
     d = 2 ** len(keep)
     return Operator(tensor.reshape(d, d))
+
+
+def _psd_sqrt(m: np.ndarray, what: str) -> np.ndarray:
+    w, v = np.linalg.eigh(m)
+    if w.min() < -1e-8:
+        raise ValueError(f"{what} is not positive semidefinite (eigenvalue {w.min():.3e})")
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def fidelity_mixed(rho, sigma) -> float:
+    """Uhlmann fidelity (tr sqrt(sqrt(s) r sqrt(s)))^2, symmetric in r, s."""
+    r = _as_matrix(rho)
+    s = _as_matrix(sigma)
+    if r.shape != s.shape:
+        raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
+    rs = _psd_sqrt(s, "sigma")
+    inner = rs @ r @ rs
+    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    if w.min() < -1e-8:
+        raise ValueError(f"rho is not positive semidefinite (eigenvalue {w.min():.3e})")
+    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 
 
 def product_state(pattern: str) -> StateVector:

@@ -12,16 +12,6 @@ provided, trading generality for speed:
 
 :func:`spectrum` returns every eigenvalue, from the dense spectra of the
 strongly connected blocks of L: real ones, or one of each conjugate pair.
-
-The linear solve works in the invariant block of vec indices reachable
-from the populations (:func:`spindiode.liouville.reachable`), in the real
-Hermitian coordinates of :meth:`Liouvillian.restrict` (L maps Hermitian
-matrices to Hermitian ones, so there it is a real map), replaces its first
-row with the trace functional and solves L' x = e_0; its residual against
-the full L is checked, so accidentally hitting a degenerate point
-(delta = 0) fails loudly instead of returning an arbitrary mixture.
-Every LU (:func:`_splu`) reuses one column ordering per sparsity pattern,
-and the solve refines to convergence, so no answer depends on the ordering.
 """
 
 from __future__ import annotations
@@ -29,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
@@ -38,7 +27,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .liouville import Liouvillian, propagate, reachable, unvectorize, vectorize
-from .spinops import Operator, StateVector
+from .spinops import Operator, StateVector, fidelity_mixed
 
 __all__ = [
     "SteadyStateResult",
@@ -113,7 +102,7 @@ def _splu(A: sp.spmatrix):
     pattern and A is always factored as A[q][:, q] in NATURAL order: its bits do not depend on
     what the table holds.  The key is A's own pattern, finer than A + A^T's but far cheaper to
     digest (and MMD's tie-breaks read it).  A wrong entry costs fill, never accuracy: SuperLU
-    still pivots, and _solve_block refines.
+    still pivots, and steady_state_solve refines.
     """
     A, opts = A.tocsc(), dict(diag_pivot_thresh=0.01, options={"SymmetricMode": True})
     key = hashlib.blake2b(A.indptr.tobytes() + A.indices.tobytes(), digest_size=16).digest()
@@ -248,9 +237,18 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     A unique steady state is the long-time limit of the maximally mixed
     state, so only the block :func:`reachable` from the populations is
     factored (924 of 4096 vec indices for the six-spin diode), in real
-    arithmetic, in the Hermitian coordinates of :meth:`Liouvillian.restrict`.
-    The one thing the block cannot see is a steady coherence outside it,
-    which can only exist beside a second steady state, on a degenerate L.
+    arithmetic, in the Hermitian coordinates of :meth:`Liouvillian.restrict`
+    (L maps Hermitian matrices to Hermitian ones, so there it is a real
+    map).  The one thing the block cannot see is a steady coherence outside
+    it, which can only exist beside a second steady state, on a degenerate L.
+
+    The first row of the block becomes the trace functional and the solve
+    is L' x = e_0.  Refinement runs while the correction shrinks and until
+    it reaches the rounding level of x, at most _MAX_REFINE steps, each
+    residual b - Ax in np.longdouble, so x does not depend on the LU's
+    ordering (the gated presets agree in R and J_r to 5e-11 between MMD,
+    COLAMD and the cached ordering of :func:`_splu`; one float64 step left
+    1e-8).
 
     Much faster than eigendecomposition but assumes the null space is
     one-dimensional.  A degenerate L (e.g. delta = 0) raises instead of
@@ -262,43 +260,17 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     rectifying thermal points amplify almost as hard through a genuinely
     slow relaxation mode, so a large gain only flags the point and the
     spectrum of the block near zero arbitrates: degeneracy means a second
-    eigenvalue at the resolution floor, not merely a small one.  The
-    final residual is checked against the full L.
+    eigenvalue at the resolution floor, not merely a small one.  The gain
+    and null bounds scale with the norms of the whole L, not of the block,
+    and the final residual is checked against the whole L: in the energy
+    basis of a heat chain the coherent part sets ||L||_inf outside the
+    population block.
     """
-    return _solve_block(_block_system(L))
-
-
-class _BlockSystem(NamedTuple):
-    """An invariant block of L that holds the populations, and L itself."""
-
-    idx: np.ndarray  # the block's sorted vec indices; idx[0] = 0 is the first population
-    R: sp.csr_matrix  # the block in the real Hermitian coordinates of Liouvillian.restrict
-    Q: sp.csr_matrix
-    L: Liouvillian
-
-
-def _block_system(L: Liouvillian) -> _BlockSystem:
-    """The block :func:`reachable` from the populations, in real coordinates."""
     idx = reachable(L, np.arange(0, L.dim, L.hilbert_dim + 1))
     try:
         R, Q = L.restrict(idx)
     except ValueError as exc:  # L does not preserve Hermiticity
         raise RuntimeError(f"population block: {exc}") from None
-    return _BlockSystem(idx, R, Q, L)
-
-
-def _solve_block(system: _BlockSystem) -> SteadyStateResult:
-    """The solve step of :func:`steady_state_solve`: trace row, LU, refinement, probe, state, residual.
-
-    Refinement runs while the correction shrinks and until it reaches the rounding level of x,
-    at most _MAX_REFINE steps, each residual b - Ax in np.longdouble, so x does not depend on the
-    LU's ordering (the gated presets agree in R and J_r to 5e-11 between MMD, COLAMD and the
-    cached ordering; one float64 step left 1e-8).  Only R is factored.  The gain and null
-    bounds scale with the norms of the whole L, not of the block, and the residual is taken
-    against the whole L: in the energy basis of a heat chain the coherent part sets ||L||_inf
-    outside the population block.
-    """
-    idx, R, Q, L = system
     n, d = idx.size, L.hilbert_dim
     # idx[0] = 0 is the first population: row 0 of R becomes the trace row
     pop, h = np.flatnonzero(idx % (d + 1) == 0), R.indptr[1]
@@ -397,8 +369,6 @@ def convergence_fidelity(L: Liouvillian, initial, rho_ss, times) -> np.ndarray:
     ``initial`` may be a StateVector or a density Operator.  The steady
     state must be unique (resolve degeneracies before calling).
     """
-    from .observables import fidelity_mixed  # deferred: observables imports this module
-
     if isinstance(initial, StateVector):
         initial = initial.density()
     target = rho_ss.rho_ss if isinstance(rho_ss, SteadyStateResult) else rho_ss

@@ -205,10 +205,13 @@ class SweepConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         model = ModelSpec.from_json(json.dumps(doc.get("model", {})))
-        axes = tuple(
-            (name, _expand_axis(name, values)) for name, values in doc.get("axes", [])
-        )
-        coupled = tuple(sorted(doc.get("coupled", {}).items()))
+        axes, coupled = doc.get("axes", []), doc.get("coupled", {})
+        if not isinstance(axes, list) or not all(isinstance(a, list) and len(a) == 2 for a in axes):
+            raise ValueError("axes must be a list of [name, values] pairs")
+        if not isinstance(coupled, dict):
+            raise ValueError("coupled must be an object of name: expression entries")
+        axes = tuple((name, _expand_axis(name, values)) for name, values in axes)
+        coupled = tuple(sorted(coupled.items()))
         bath_doc = doc.get("bath", {})
         bad = set(bath_doc) - {f.name for f in dc_fields(BathConfig)}
         if bad:

@@ -215,13 +215,14 @@ def test_arbitration_margins_around_the_threshold():
 @pytest.mark.parametrize("Delta", [5.0, 20.0])
 @pytest.mark.parametrize("hot, cold", [(1, 6), (6, 1)], ids=["forward", "reverse"])
 def test_null_bound_of_steady_states_has_margin(Delta, hot, cold):
-    """steady_states' null bound, 1e-9 of max(||L||_inf, 1), lies orders of magnitude from both sides.
+    """steady_states' null bound, _NULL_RTOL of max(||L||_inf, 1), sits inside the measured gap.
 
     The Diode at delta = 0 with J34 on its critical line has two steady sectors.  On the full
     complex L, in units of max(||L||_inf, 1), its null pair measured at most 9.6e-16 and the next
-    mode at least 1.3e-6 (Delta = 20, reverse bias), so 1e-14 and 1e-7 are pinned.  The known
-    exception is Delta = 100 under reverse bias, not pinned here: its third mode at 5.7e-10 lies
-    within 2x of the bound and counts as null.
+    mode at least 1.3e-6 (Delta = 20, reverse bias), around a bound of 1e-9: the bound must lie
+    four decades above the pair and two below the next mode, so moving it to 1e-15 or to 5e-7
+    fails.  The known exception is Delta = 100 under reverse bias, not pinned here: its third
+    mode at 5.7e-10 lies within 2x of the bound and counts as null.
     """
     L = boundary_driven(0.0, hot=hot, cold=cold, Delta=Delta)
     scale = spla.norm(L.matrix, np.inf)
@@ -229,8 +230,8 @@ def test_null_bound_of_steady_states_has_margin(Delta, hot, cold):
     (w, _), null_idx = _eigs_near_zero(L.matrix, scale, steadystate._NULL_RTOL * unit)
     magnitudes = np.sort(np.abs(w)) / unit
     assert len(null_idx) == 2 and steady_states(L).degeneracy == 2
-    assert magnitudes[1] <= 1e-14
-    assert magnitudes[2] >= 1e-7
+    assert magnitudes[1] <= steadystate._NULL_RTOL / 1e4
+    assert magnitudes[2] >= 100 * steadystate._NULL_RTOL
 
 
 def test_steady_states_accepts_only_arnoldi():

@@ -385,6 +385,17 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert "invalid sweep config" in capsys.readouterr().err
     assert not (tmp_path / "refused.csv").exists()
 
+    # axes and coupled in each other's shape are refused by name
+    for overrides, field in [({"coupled": [["J34", "critical_j34(Delta)"]]}, "coupled"),
+                             ({"axes": {"Delta": [5.0], "delta": [0.01]}}, "axes")]:
+        cfg = tmp_path / "shape.json"
+        cfg.write_text(small_config(**overrides))
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "shape.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid sweep config" in err and f"{field} must be" in err
+    assert not (tmp_path / "shape.csv").exists()
+
     # JSON true and strings are refused wherever a number is read, not taken as 1.0 or parsed
     for value in (True, "5"):
         not_numbers = [
@@ -439,6 +450,17 @@ def test_cli_steady_json(tmp_path, capsys):
     rc = main(["steady", "--model", str(model_file), "--bias", "reverse"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out) == doc
+
+    # an inline document longer than a file name may be is read as JSON, not tried as a path
+    fields = spec.replace(local_fields=(0.125, -0.0625, 0.03125, -0.015625, 0.0078125, -0.00390625))
+    assert len(fields.to_json()) > 255
+    rc = main(["steady", "--model", fields.to_json(), "--bias", "forward"])
+    assert rc == 0
+    inline = capsys.readouterr().out
+    model_file.write_text(fields.to_json())
+    rc = main(["steady", "--model", str(model_file), "--bias", "forward"])
+    assert rc == 0
+    assert capsys.readouterr().out == inline
 
     rc = main(["steady", "--model", "{\"variant\": \"NoSuch\"}", "--bias", "forward"])
     assert rc == 2
