@@ -35,7 +35,11 @@ class ConfigError(Exception):
 
 def _load_text(path: str, what: str) -> str:
     p = Path(path)
-    if not p.is_file():
+    try:
+        found = p.is_file()
+    except OSError:  # e.g. ENAMETOOLONG: no file can have that name
+        found = False
+    if not found:
         raise ConfigError(f"{what} not found: {path}")
     return p.read_text()
 

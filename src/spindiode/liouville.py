@@ -94,11 +94,16 @@ def unvectorize(v) -> np.ndarray:
     return vec.reshape(d, d, order="F")
 
 
-def _kron(A: np.ndarray, B: np.ndarray):
-    """(rows, cols, values) of the nonzero entries of kron(A, B), for dense d x d A and B."""
+def _kron(A: np.ndarray, B: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """Write the nonzero entries of kron(A, B), for dense d x d A and B, into 1-D rows, cols, vals.
+
+    Each takes nnz(A) nnz(B) entries: a contiguous slice of the arrays being filled, so the
+    reshaped views below write through to it."""
     ai, aj, bi, bj = (k.astype(np.int32) for k in (*np.nonzero(A), *np.nonzero(B)))
-    rows, cols = (ai[:, None] * len(B) + bi).ravel(), (aj[:, None] * len(B) + bj).ravel()
-    return rows, cols, (A[ai, aj][:, None] * B[bi, bj]).ravel()
+    shape = (ai.size, bi.size)
+    np.add(ai[:, None] * len(B), bi, out=rows.reshape(shape))
+    np.add(aj[:, None] * len(B), bj, out=cols.reshape(shape))
+    np.multiply(A[ai, aj][:, None], B[bi, bj], out=vals.reshape(shape))
 
 
 def _table(pairs):
@@ -149,12 +154,29 @@ def _superop(H, pairs, dim: int) -> sp.csr_matrix:
     del pairs, a_s, a_t, b_s, b_t, same
     diag, on = np.zeros(dim * dim, dtype=complex), rows == cols
     np.add.at(diag, rows[on], w[on])
-    g, eye, kk = G.diagonal(), np.eye(dim), np.arange(dim * dim, dtype=np.int32)
+    g = G.diagonal()
     off = G - np.diag(g)
-    terms = [(rows[~on], cols[~on], w[~on]), (kk, kk, diag + (g.conj()[:, None] + g).ravel())]
-    del rows, cols, w, on, diag
-    rows, cols, vals = (np.concatenate(t) for t in zip(*terms, _kron(eye, off), _kron(off.conj(), eye)))
-    out = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+    # preallocated COO arrays, filled term by term in that order, with no concatenated copy; each
+    # pair array is dropped once its entries off the diagonal are copied into its COO array
+    n_kron = dim * np.count_nonzero(off)
+    ends = np.cumsum([0, on.size - np.count_nonzero(on), dim * dim, n_kron, n_kron])
+    pair_arrays, coo = [rows, cols, w], []
+    del rows, cols, w
+    for other in (np.int32, np.int32, complex):  # the dtype of the other terms' entries
+        x = pair_arrays.pop(0)
+        coo.append(np.empty(ends[-1], dtype=np.result_type(x, other)))
+        coo[-1][:ends[1]] = x[~on]
+    del x, on
+
+    def term(k):  # the rows, cols and values of term k
+        return [x[ends[k]:ends[k + 1]] for x in coo]
+
+    kk, kk_cols, vals = term(1)
+    kk[:] = kk_cols[:] = np.arange(dim * dim)
+    np.add(diag, (g.conj()[:, None] + g).ravel(), out=vals)
+    _kron(np.eye(dim), off, *term(2))
+    _kron(off.conj(), np.eye(dim), *term(3))
+    out = sp.csr_matrix((coo[2], (coo[0], coo[1])), shape=(dim * dim, dim * dim))
     out.eliminate_zeros()
     return out
 

@@ -4,8 +4,8 @@ Steady states are null vectors of the Liouvillian.  Two routes are
 provided, trading generality for speed:
 
 * a shift-inverted Arnoldi solve for the eigenvalues nearest zero, as
-  many as the null space needs (:func:`steady_states`: degeneracy
-  counting at every size),
+  many as the null space needs, on each weakly connected block of L in
+  turn (:func:`steady_states`: degeneracy counting at every size),
 * a trace-constrained sparse linear solve (:func:`steady_state_solve`:
   fastest; valid only when the steady state is unique, which it is for
   delta != 0).
@@ -42,6 +42,13 @@ __all__ = [
 _NULL_RTOL = 1e-9
 _BLOCK_NULL_RTOL = 1e-15
 _MAX_REFINE = 10
+# the shift of every shift-inverted eigs call, as a fraction of max(||L||_inf, 1); steady_states
+# skips Arnoldi on a block whose eigenvalue nearest the shift lies farther than _FAR_RTOL of it
+# away (a null one lies at the shift's own distance), as _INVERSE_STEPS inverse-iteration
+# solves estimate: blocks with a null vector read the shift from the third solve on
+_SHIFT_RTOL = 1e-6
+_FAR_RTOL = 1e-5
+_INVERSE_STEPS = 4
 
 
 @dataclass
@@ -121,17 +128,20 @@ def _splu(A: sp.spmatrix):
     return lambda b: lu.solve(b[q])[p]  # A[q][:, q] x[q] = b[q], and p inverts q
 
 
-def _eigs_near_zero(M: sp.spmatrix, scale: float, tol: float, return_eigenvectors: bool = True):
+def _eigs_near_zero(M: sp.spmatrix, scale: float, tol: float, return_eigenvectors: bool = True, shifted=None):
     """``spla.eigs`` output for the eigenvalues of M nearest zero, and the indices of those below ``tol``.
 
     M is L's matrix or an invariant block of it, so every eigenvalue has Re <= 0:
     the one shift sigma = 1e-6 * max(scale, 1) keeps M - sigma*I nonsingular, and
-    the eigenvalues carry errors ~eps * sigma.  M - sigma*I is factored once; k = 4
-    doubles, up to n - 2, while every computed eigenvalue is below ``tol``.  ``ncv``
-    grows with k: scipy's max(2k + 1, 20) stalls ARPACK on degenerate spectra at k = 16.
+    the eigenvalues carry errors ~eps * sigma.  M - sigma*I is factored once (or
+    ``shifted`` is that factorization's solve); k = 4 doubles, up to n - 2, while
+    every computed eigenvalue is below ``tol``.  ``ncv`` grows with k: scipy's
+    max(2k + 1, 20) stalls ARPACK on degenerate spectra at k = 16.
     """
-    n, sigma = M.shape[0], 1e-6 * max(scale, 1.0)
-    OPinv = spla.LinearOperator(M.shape, _splu(M - sigma * sp.eye(n, dtype=M.dtype)), dtype=M.dtype)
+    n, sigma = M.shape[0], _SHIFT_RTOL * max(scale, 1.0)
+    if shifted is None:
+        shifted = _splu(M - sigma * sp.eye(n, dtype=M.dtype))
+    OPinv = spla.LinearOperator(M.shape, shifted, dtype=M.dtype)
     k = min(4, n - 2)
     while True:
         out = spla.eigs(M, k=k, sigma=sigma, which="LM", ncv=min(n, max(20, 3 * k)), OPinv=OPinv,
@@ -142,38 +152,86 @@ def _eigs_near_zero(M: sp.spmatrix, scale: float, tol: float, return_eigenvector
         k = min(2 * k, n - 2)
 
 
-def steady_states(L: Liouvillian, method: str = "arnoldi") -> SteadyStateResult:
-    """Steady state(s) of L via its eigenvalues nearest zero.
+def _blocks(m: sp.spmatrix) -> list[np.ndarray]:
+    """Vec indices of the weakly connected blocks of m's stored pattern, smallest first.
 
-    A shift-inverted Arnoldi solve on the full (complex) L finds the 4
-    eigenvalues nearest zero; those below 1e-9 times the infinity norm of
-    L (a cheap upper bound on the largest eigenvalue magnitude) are null.
-    While all of them are null the count doubles and the solve repeats, up
-    to ARPACK's limit of dim - 2.  ``method`` accepts only ``"arnoldi"``.
+    No stored entry joins two blocks, so m is their direct sum.  Blocks of at most 2 indices,
+    too small for ARPACK, are gathered into one group, which also takes the next smallest
+    blocks until it holds 3 indices or more (L's dimension is at least 4).
+    """
+    pattern = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
+    _, labels = csgraph.connected_components(pattern, directed=True, connection="weak")
+    sizes = np.bincount(labels)
+    order = np.argsort(sizes, kind="stable")
+    cut = max(np.count_nonzero(sizes <= 2), np.searchsorted(np.cumsum(sizes[order]), 3) + 1)
+    return [np.flatnonzero(np.isin(labels, order[:cut]))] + [np.flatnonzero(labels == c) for c in order[cut:]]
+
+
+def _block_null_vectors(M: sp.spmatrix, scale: float, tol: float, probe: np.ndarray):
+    """Null vectors (columns) of an invariant block M of L, and whether ARPACK ran out of room.
+
+    M - sigma*I is factored once, at the shift of :func:`_eigs_near_zero`.  _INVERSE_STEPS
+    inverse-iteration solves from ``probe`` through that LU estimate 1/|lambda - sigma| for the
+    eigenvalue lambda nearest the shift; when it lies more than _FAR_RTOL max(scale, 1) away the
+    block has no null vector and ARPACK is skipped, else :func:`_eigs_near_zero` reuses the LU.
+    """
+    shifted = _splu(M - _SHIFT_RTOL * max(scale, 1.0) * sp.eye(M.shape[0], dtype=M.dtype))
+    x = probe
+    for _ in range(_INVERSE_STEPS):
+        x = shifted(x / np.linalg.norm(x))
+    if np.linalg.norm(x) * _FAR_RTOL * max(scale, 1.0) < 1.0:
+        return np.empty((M.shape[0], 0), dtype=complex), False
+    (w, vr), null_idx = _eigs_near_zero(M, scale, tol, shifted=shifted)
+    return vr[:, null_idx], len(null_idx) == len(w)
+
+
+def steady_states(L: Liouvillian, method: str = "arnoldi") -> SteadyStateResult:
+    """Steady state(s) of L via its eigenvalues nearest zero, one invariant block at a time.
+
+    L is the direct sum of the weakly connected blocks of its pattern (:func:`_blocks`; the
+    weak-symmetry sectors, 13 for the six-spin diode at delta = 0, the largest 924 of 4096), so
+    its null space is the sum of theirs.  Each block is factored in turn at one small shift, and
+    only one LU is alive at a time.  A shift-inverted Arnoldi solve on a block (complex, as the
+    real Hermitian coordinates would pair each block with its transpose) finds its 4 eigenvalues
+    nearest zero; those below 1e-9 times the infinity norm of L (a cheap upper bound on the
+    largest eigenvalue magnitude) are null.  While all of them are null the count doubles and
+    the solve repeats, up to ARPACK's limit of dim - 2.  A block whose eigenvalue nearest the
+    shift lies far from it, as inverse iteration through its LU shows, skips Arnoldi
+    (:func:`_block_null_vectors`).  ``method`` accepts only ``"arnoldi"``.
     The fixed space of a Lindbladian is closed under dagger, so the Hermitian
     parts M + M^dag and i(M - M^dag) of the raw null vectors span it over
     the reals; they are remixed into an orthonormal Hermitian basis before
     states are extracted, so the output does not depend on the arbitrary
-    combinations the eigensolver happens to return.  Arnoldi stays complex,
-    as the real Hermitian coordinates of the whole space pair each sector
-    with its transpose, which doubles the LU fill and slows ARPACK.
+    combinations the eigensolver happens to return.
     """
     if method != "arnoldi":
         raise ValueError(f"unknown method {method!r}")
     scale = spla.norm(L.matrix, np.inf)  # bounds every |eigenvalue| of L
     null_tol = _NULL_RTOL * max(scale, 1.0)
-    (w, vr), null_idx = _eigs_near_zero(L.matrix, scale, null_tol)
-    if len(null_idx) == len(w):
+    rng = np.random.default_rng(0x5D10DE)
+    ms, undercounted = [], False
+    for idx in _blocks(L.matrix):
+        probe = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+        vr, short = _block_null_vectors(L.matrix[idx][:, idx], scale, null_tol, probe)
+        undercounted |= short
+        for v in vr.T:
+            full = np.zeros(L.dim, dtype=complex)
+            full[idx] = v / np.linalg.norm(v)
+            ms.append(unvectorize(full))
+    if undercounted:
         warnings.warn(
-            f"all {len(w)} computed eigenvalues lie below null_tol; degeneracy may be undercounted",
+            "all computed eigenvalues of a block lie below null_tol; degeneracy may be undercounted",
             stacklevel=2,
         )
-    if not null_idx.size:
+    if not ms:
         raise RuntimeError(
             f"no eigenvalue below null_tol = {null_tol:.3e}; L has no resolved steady state"
         )
+    return _fixed_space_states(L, ms, null_tol)
 
-    ms = [unvectorize(vr[:, i] / np.linalg.norm(vr[:, i])) for i in null_idx]
+
+def _fixed_space_states(L: Liouvillian, ms: list[np.ndarray], null_tol: float) -> SteadyStateResult:
+    """The result of :func:`steady_states` from unit null vectors ``ms`` (as d x d matrices) of L."""
     basis = _orthonormal_span([c for m in ms for c in (m + m.conj().T, 1j * (m - m.conj().T))], 1e-6)
     degeneracy = len(basis)
     traces = np.array([np.trace(b).real for b in basis])
@@ -193,12 +251,18 @@ def steady_states(L: Liouvillian, method: str = "arnoldi") -> SteadyStateResult:
         # extreme sector states: for two sectors the (unique) traceless
         # null element is rho_plus - rho_minus with orthogonal supports, so
         # its positive and negative eigenparts are exactly the extremes;
-        # beyond two sectors the same split is applied pairwise and is
-        # only a heuristic enumeration
+        # beyond two sectors the same split is applied along several
+        # traceless directions and is only a heuristic enumeration.  The
+        # directions are projections of fixed random Hermitian matrices onto
+        # the traceless fixed space, so they depend on that space alone, not
+        # on the basis of it that the eigensolver's vectors happened to give
         states = []
-        traceless = _orthonormal_span([b - (t / tnorm**2) * proj for b, t in zip(basis, traces)], 1e-8)
+        traceless = np.array(_orthonormal_span([b - (t / tnorm**2) * proj for b, t in zip(basis, traces)], 1e-8))
+        rng, d = np.random.default_rng(0x5D10DE), L.hilbert_dim
         res_tol = 100.0 * null_tol
-        for tl in traceless:
+        for _ in traceless:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            tl = np.tensordot(np.einsum("kij,ij->k", traceless.conj(), g + g.conj().T).real, traceless, 1)
             w, v = np.linalg.eigh(tl)
             for sign in (1.0, -1.0):
                 part = np.clip(sign * w, 0.0, None)
@@ -226,7 +290,7 @@ def steady_states(L: Liouvillian, method: str = "arnoldi") -> SteadyStateResult:
         residual=residual,
         degeneracy=degeneracy,
         null_tol=null_tol,
-        method=method,
+        method="arnoldi",
         rho_all=states,
     )
 
@@ -302,6 +366,7 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     # degenerate manifold, but also up to 8e14 at strongly rectifying thermal
     # points (h >= 7.5) whose blocked channel relaxes at ~1e-14 of the scale
     gain = float(np.linalg.norm(solve(probe))) * scale
+    del solve  # A's LU: the arbitration factors R - sigma*I, and one LU at a time is enough
     if gain > 1e10:
         sscale = spla.norm(L.matrix, np.inf)
         w, null_idx = _eigs_near_zero(R, sscale, _BLOCK_NULL_RTOL * sscale, return_eigenvectors=False)

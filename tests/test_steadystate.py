@@ -11,7 +11,14 @@ from scipy.optimize import linear_sum_assignment
 from spindiode import steadystate
 from spindiode.globalbath import ThermalBathSpec, assemble_global_liouvillian
 from spindiode.jordanwigner import build_jw_hamiltonian
-from spindiode.liouville import DissipatorKind, DissipatorSpec, Liouvillian, assemble_liouvillian, reachable
+from spindiode.liouville import (
+    DissipatorKind,
+    DissipatorSpec,
+    Liouvillian,
+    assemble_liouvillian,
+    reachable,
+    unvectorize,
+)
 from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34
 from spindiode.observables import evaluate_diode
 from spindiode.spinops import coupling_zz, exchange_xx, product_state
@@ -123,28 +130,117 @@ def test_degeneracy_is_counted_past_the_first_eigenvalues(n, sites):
     assert not [w for w in caught if "undercounted" in str(w.message)]
 
 
+def recording_lus(monkeypatch):
+    """Record each `spla.splu` shape and each ordering pass ("order", an `spla.spilu` call)."""
+    lus, splu, spilu = [], steadystate.spla.splu, steadystate.spla.spilu
+    monkeypatch.setattr(steadystate.spla, "splu", lambda A, **kwargs: lus.append(A.shape) or splu(A, **kwargs))
+    monkeypatch.setattr(steadystate.spla, "spilu", lambda A, **kwargs: lus.append("order") or spilu(A, **kwargs))
+    monkeypatch.setattr(steadystate, "_ORDERINGS", {})
+    return lus
+
+
 def test_steady_states_grows_its_eigenvalue_count_only_when_needed(monkeypatch):
-    calls, lus, eigs, splu, spilu = [], [], steadystate.spla.eigs, steadystate.spla.splu, steadystate.spla.spilu
+    calls, eigs = [], steadystate.spla.eigs
 
     def counting(*args, **kwargs):
         calls.append(kwargs["k"])
         return eigs(*args, **kwargs)
 
     monkeypatch.setattr(steadystate.spla, "eigs", counting)
-    monkeypatch.setattr(steadystate.spla, "splu", lambda A, **kwargs: lus.append(A.shape) or splu(A, **kwargs))
-    monkeypatch.setattr(steadystate.spla, "spilu", lambda A, **kwargs: lus.append("order") or spilu(A, **kwargs))
-    monkeypatch.setattr(steadystate, "_ORDERINGS", {})
+    lus = recording_lus(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        # 13 blocks in 11 groups (the two 1-index blocks join a 12-index one); only the 924 block
+        # holds null vectors, and the inverse-iteration test spares Arnoldi on the other ten
         assert steady_states(boundary_driven(0.0, hot=6, cold=1)).degeneracy == 2
-        assert len(calls) == 1 and lus == ["order", (4096, 4096)]  # the ordering pass, then the factorization
+        assert calls == [4]
+        factored = [shape for shape in lus if shape != "order"]
+        assert len(factored) == lus.count("order") == 11  # every group ordered once, factored once
+        lus.clear()
         steady_states(boundary_driven(0.0, hot=6, cold=1))
-        assert lus == ["order", (4096, 4096), (4096, 4096)]  # a repeat call reuses the ordering
+        assert lus == factored  # a repeat call reuses the orderings
         calls.clear()
         lus.clear()
+        # no Hamiltonian: L is diagonal, so its 64 one-index blocks make one group
         assert steady_states(dephased(3, (1, 2))).degeneracy == 16
     assert calls == [4, 8, 16, 32]  # doubled while every computed eigenvalue was null
     assert lus == ["order", (64, 64)]  # after the ordering pass, one factorization of L - sigma*I serves every k
+
+
+@pytest.mark.parametrize("hot, cold", [(1, 6), (6, 1)], ids=["forward", "reverse"])
+def test_steady_states_factors_no_block_above_924_at_six_spins(monkeypatch, hot, cold):
+    """The whole 4096-dim L is never factored: the largest LU is the population block's."""
+    lus = recording_lus(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        steady_states(boundary_driven(0.0, hot=hot, cold=cold))
+    assert max(shape[0] for shape in lus if shape != "order") == 924
+
+
+def whole_space_steady_states(L):
+    """Oracle: one shift-inverted Arnoldi solve on the whole complex L, then the same states.
+
+    This is the route steady_states took before it split L into blocks.
+    """
+    scale = spla.norm(L.matrix, np.inf)
+    null_tol = steadystate._NULL_RTOL * max(scale, 1.0)
+    (_, vr), null_idx = _eigs_near_zero(L.matrix, scale, null_tol)
+    ms = [unvectorize(vr[:, i] / np.linalg.norm(vr[:, i])) for i in null_idx]
+    return steadystate._fixed_space_states(L, ms, null_tol)
+
+
+def cold_bath_chain(delta=0.1):
+    """The fig4a chain: Delta = 100, J34 = -101, one cold bath on site 1 and no hot one."""
+    H = build_hamiltonian(ModelSpec(variant=Variant.DIODE, Delta=100.0, delta=delta, J34=-101.0))
+    return assemble_liouvillian(H, [DissipatorSpec(site=1, gamma=1.0, lam=0.0)])
+
+
+BLOCK_CASES = {
+    "Delta5-forward": (lambda: boundary_driven(0.0, hot=1, cold=6), 2),
+    "Delta5-reverse": (lambda: boundary_driven(0.0, hot=6, cold=1), 2),
+    "Delta20-forward": (lambda: boundary_driven(0.0, hot=1, cold=6, Delta=20.0), 2),
+    "Delta20-reverse": (lambda: boundary_driven(0.0, hot=6, cold=1, Delta=20.0), 2),
+    "Delta100-reverse": (lambda: boundary_driven(0.0, hot=6, cold=1, Delta=100.0), 3),
+    "cold-bath-chain": (cold_bath_chain, 9),
+    "dephased": (lambda: dephased(3, (1, 2)), 16),
+    "one-spin-decay": (lambda: assemble_liouvillian(None, [DissipatorSpec(site=1, gamma=1.0, lam=0.0)]), 1),
+    "one-spin-dephasing": (lambda: dephased(1, (1,)), 2),
+    "two-spin-chain": (lambda: small_chain(2), 1),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_null_space_matches_the_whole_space_oracle(monkeypatch, case):
+    """Same degeneracy, rho_ss and rho_all state by state as Arnoldi on the whole L, to 1e-10.
+
+    On the cold-bath chain the blocks' LUs and the whole LU agree on the states only to 3.4e-10
+    (rho_ss to 6.4e-11): a slow mode at 1.1e-8 of ||L||_inf beside the nine null ones leaves the
+    shift-inverted solves (shift 1e-6 of ||L||_inf) that much room, so its states get 1e-9.  There
+    two null vectors lie in coherence blocks without populations, which the inverse-iteration
+    test must not skip.
+    """
+    build, degeneracy = BLOCK_CASES[case]
+    L = build()
+    found, block_null_vectors = [], steadystate._block_null_vectors
+
+    def recording(M, *args):  # (block size, null vectors found) per group
+        vr, short = block_null_vectors(M, *args)
+        found.append((M.shape[0], vr.shape[1]))
+        return vr, short
+
+    monkeypatch.setattr(steadystate, "_block_null_vectors", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res, ref = steady_states(L), whole_space_steady_states(L)
+    assert res.degeneracy == ref.degeneracy == degeneracy == sum(n for _, n in found)
+    assert len(res.rho_all) == len(ref.rho_all)
+    assert np.abs(res.rho_ss.matrix - ref.rho_ss.matrix).max() < 1e-10
+    tol = 1e-9 if case == "cold-bath-chain" else 1e-10
+    for a, b in zip(res.rho_all, ref.rho_all):
+        assert np.abs(a.matrix - b.matrix).max() < tol
+    if case == "cold-bath-chain":
+        assert len(res.rho_all) == 16
+        assert [f for f in found if f[1]] == [(495, 1), (495, 1), (924, 7)]
 
 
 def diode_point(delta=0.02):

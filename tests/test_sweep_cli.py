@@ -320,6 +320,13 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     rc = main(["sweep", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+    # a path longer than any file name (ENAMETOOLONG) is missing too, not a runtime error
+    long_path = str(tmp_path / ("a" * 300))
+    for argv in (["sweep", "--config", long_path, "--out", str(tmp_path / "o.csv")],
+                 ["steady", "--model", long_path, "--bias", "forward"]):
+        assert main(argv) == 2
+        assert "not found" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
     bad = tmp_path / "bad.json"
     bad.write_text("{\"axes\": []}")
