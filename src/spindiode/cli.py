@@ -52,8 +52,15 @@ def _cmd_sweep(args) -> int:
             config = replace(config, workers=positive_int("--workers", args.workers))
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from None
+    out = Path(args.out)
+    try:
+        usable = out.parent.is_dir() and not out.is_dir()
+    except OSError:  # e.g. ENAMETOOLONG
+        usable = False
+    if not usable:  # refused before any point is solved, not after
+        raise ConfigError(f"--out must name a file in an existing directory, got {args.out}")
     table = run_sweep(config)
-    export(table, args.format, args.out)
+    export(table, args.format, out)
     n_failed = sum(1 for row in table.rows if row[-1])
     print(f"wrote {args.out}: {len(table.rows)} rows ({n_failed} failed)")
     return EXIT_RUNTIME if n_failed == len(table.rows) else EXIT_OK

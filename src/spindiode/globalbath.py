@@ -124,10 +124,10 @@ def _cluster(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigensystem(H) -> tuple[np.ndarray, np.ndarray]:
-    """(eps, U) of a Hermitian H."""
+    """(eps, U) of a finite Hermitian H."""
     Hm = _as_matrix(H)
-    if np.max(np.abs(Hm - Hm.conj().T)) > 1e-10:
-        raise ValueError("H must be Hermitian")
+    if not (np.isfinite(Hm).all() and np.max(np.abs(Hm - Hm.conj().T)) <= 1e-10):
+        raise ValueError("H must be finite and Hermitian")
     return np.linalg.eigh(Hm)
 
 
@@ -144,8 +144,8 @@ class _EigenBlocks:
 
     def __init__(self, eigensystem, coupling):
         Cm = _as_matrix(coupling)
-        if np.max(np.abs(Cm - Cm.conj().T)) > 1e-10:
-            raise ValueError("coupling must be Hermitian")
+        if not (np.isfinite(Cm).all() and np.max(np.abs(Cm - Cm.conj().T)) <= 1e-10):
+            raise ValueError("coupling must be finite and Hermitian")
         eps, U = eigensystem
         tol = 1e-9 * max(float(np.abs(eps).max()), 1.0)
         labels, means = _cluster(eps, tol)

@@ -94,16 +94,11 @@ def unvectorize(v) -> np.ndarray:
     return vec.reshape(d, d, order="F")
 
 
-def _kron(A: np.ndarray, B: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-    """Write the nonzero entries of kron(A, B), for dense d x d A and B, into 1-D rows, cols, vals.
-
-    Each takes nnz(A) nnz(B) entries: a contiguous slice of the arrays being filled, so the
-    reshaped views below write through to it."""
+def _kron(A: np.ndarray, B: np.ndarray):
+    """(rows, cols, values) of the nonzero entries of kron(A, B), for dense d x d A and B."""
     ai, aj, bi, bj = (k.astype(np.int32) for k in (*np.nonzero(A), *np.nonzero(B)))
-    shape = (ai.size, bi.size)
-    np.add(ai[:, None] * len(B), bi, out=rows.reshape(shape))
-    np.add(aj[:, None] * len(B), bj, out=cols.reshape(shape))
-    np.multiply(A[ai, aj][:, None], B[bi, bj], out=vals.reshape(shape))
+    rows, cols = (ai[:, None] * len(B) + bi).ravel(), (aj[:, None] * len(B) + bj).ravel()
+    return rows, cols, (A[ai, aj][:, None] * B[bi, bj]).ravel()
 
 
 def _table(pairs):
@@ -154,29 +149,12 @@ def _superop(H, pairs, dim: int) -> sp.csr_matrix:
     del pairs, a_s, a_t, b_s, b_t, same
     diag, on = np.zeros(dim * dim, dtype=complex), rows == cols
     np.add.at(diag, rows[on], w[on])
-    g = G.diagonal()
+    g, eye, kk = G.diagonal(), np.eye(dim), np.arange(dim * dim, dtype=np.int32)
     off = G - np.diag(g)
-    # preallocated COO arrays, filled term by term in that order, with no concatenated copy; each
-    # pair array is dropped once its entries off the diagonal are copied into its COO array
-    n_kron = dim * np.count_nonzero(off)
-    ends = np.cumsum([0, on.size - np.count_nonzero(on), dim * dim, n_kron, n_kron])
-    pair_arrays, coo = [rows, cols, w], []
-    del rows, cols, w
-    for other in (np.int32, np.int32, complex):  # the dtype of the other terms' entries
-        x = pair_arrays.pop(0)
-        coo.append(np.empty(ends[-1], dtype=np.result_type(x, other)))
-        coo[-1][:ends[1]] = x[~on]
-    del x, on
-
-    def term(k):  # the rows, cols and values of term k
-        return [x[ends[k]:ends[k + 1]] for x in coo]
-
-    kk, kk_cols, vals = term(1)
-    kk[:] = kk_cols[:] = np.arange(dim * dim)
-    np.add(diag, (g.conj()[:, None] + g).ravel(), out=vals)
-    _kron(np.eye(dim), off, *term(2))
-    _kron(off.conj(), np.eye(dim), *term(3))
-    out = sp.csr_matrix((coo[2], (coo[0], coo[1])), shape=(dim * dim, dim * dim))
+    terms = [(rows[~on], cols[~on], w[~on]), (kk, kk, diag + (g.conj()[:, None] + g).ravel())]
+    del rows, cols, w, on, diag
+    rows, cols, vals = (np.concatenate(t) for t in zip(*terms, _kron(eye, off), _kron(off.conj(), eye)))
+    out = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
     out.eliminate_zeros()
     return out
 
@@ -253,15 +231,15 @@ def assemble_liouvillian(H, dissipators) -> Liouvillian:
     """Build L = -i[H, .] + sum of local dissipator channels.
 
     ``H`` may be None for purely dissipative evolution; otherwise it must
-    be Hermitian (to 1e-10) and square with a power-of-two dimension.
+    be finite, Hermitian (to 1e-10) and square with a power-of-two dimension.
     All dissipator sites must fit the Hamiltonian register.
     """
     dissipators = tuple(dissipators)
     if H is None and not dissipators:
         raise ValueError("need a Hamiltonian or at least one dissipator")
     Hm = None if H is None else (H if isinstance(H, Operator) else Operator(H)).matrix
-    if Hm is not None and np.max(np.abs(Hm - Hm.conj().T)) > 1e-10:
-        raise ValueError("H must be Hermitian")
+    if Hm is not None and not (np.isfinite(Hm).all() and np.max(np.abs(Hm - Hm.conj().T)) <= 1e-10):
+        raise ValueError("H must be finite and Hermitian")
     dim = 2 ** max(d.site for d in dissipators) if H is None else Hm.shape[0]
     return Liouvillian(_superop(Hm, _pairs(_jumps(dissipators, dim.bit_length() - 1)), dim))
 
@@ -335,8 +313,8 @@ def propagate(L: Liouvillian, rho0, times) -> list[Operator]:
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("times must be a nonempty 1-D grid")
-    if np.any(np.diff(ts) < 0) or ts[0] < 0:
-        raise ValueError("times must be sorted and nonnegative")
+    if not np.isfinite(ts).all() or np.any(np.diff(ts) < 0) or ts[0] < 0:
+        raise ValueError("times must be finite, sorted and nonnegative")
     v = _as_density_vec(rho0)
     idx = reachable(L, np.flatnonzero(v))
     R, Q = L.restrict(idx)

@@ -298,6 +298,16 @@ def test_zero_coupling_fails_with_the_degenerate_steady_state_error():
         evaluate_heat_diode(spec, gamma=0.0)
 
 
+@pytest.mark.parametrize("bad", ["H", "coupling"])
+@pytest.mark.parametrize("entry", [0.3j, math.nan, math.inf])
+def test_eigen_operators_refuse_non_hermitian_or_non_finite_input(bad, entry):
+    # a NaN passes any test of the form max|H - H^dag| > tol; unchecked, a NaN H gives the frequencies [nan]
+    H, C = exchange_xx(2, 1, 2).matrix.copy(), site_operator(2, 1, SIGMA_X).matrix.copy()
+    (H if bad == "H" else C)[0, 1] += entry
+    with pytest.raises(ValueError, match=f"{bad} must be finite and Hermitian"):
+        eigen_operators(H, C)
+
+
 def test_bath_spec_validation():
     with pytest.raises(ValueError):
         ThermalBathSpec(site=1, temperature=-1.0)

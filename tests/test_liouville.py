@@ -178,8 +178,15 @@ def test_assembly_rejects_hamiltonian_of_bad_shape(H):
 def test_assembly_rejects_non_hermitian_hamiltonian():
     # -i(H rho - rho H^dag) is no commutator; left through, the steady-state solve blames degeneracy
     H = exchange_xx(3, 1, 2) + exchange_xx(3, 2, 3) + 0.3j * site_operator(3, 1, SIGMA_X)
+    baths = [DissipatorSpec(site=1, gamma=1.0, lam=0.5), DissipatorSpec(site=3, gamma=1.0)]
     with pytest.raises(ValueError, match="Hermitian"):
-        assemble_liouvillian(H, [DissipatorSpec(site=1, gamma=1.0, lam=0.5), DissipatorSpec(site=3, gamma=1.0)])
+        assemble_liouvillian(H, baths)
+    # a NaN passes any test of the form max|H - H^dag| > tol, and would reach L and its steady state
+    for bad in (np.nan, np.inf):
+        H = (exchange_xx(3, 1, 2) + exchange_xx(3, 2, 3)).matrix.copy()
+        H[0, 0] = bad
+        with pytest.raises(ValueError, match="H must be finite and Hermitian"):
+            assemble_liouvillian(H, baths)
 
 
 def string_fermion(n, site):
@@ -495,6 +502,9 @@ def test_propagate_validates_grid():
         propagate(L, psi, [-1.0, 0.5])
     with pytest.raises(ValueError):
         propagate(L, psi, [])
+    for bad in ([0.0, np.nan], [np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="times must be finite"):
+            propagate(L, psi, bad)
 
 
 def test_propagate_refuses_non_hermitian_state():

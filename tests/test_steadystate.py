@@ -368,6 +368,17 @@ def test_fast_solver_refuses_degenerate_null_space():
         steady_state_solve(L)
 
 
+def test_fast_solver_refuses_a_nan_residual():
+    """A NaN in L outside the population block leaves the solve clean; the residual over all of L is NaN."""
+    L = small_chain()
+    outside = np.setdiff1d(np.arange(L.dim), reachable(L, np.arange(0, L.dim, L.hilbert_dim + 1)))
+    m = L.matrix.tocsc()
+    col = next(c for c in outside if m.indptr[c + 1] > m.indptr[c])
+    m.data[m.indptr[col]] = np.nan
+    with pytest.raises(RuntimeError, match="residual nan"):
+        steady_state_solve(Liouvillian(m))
+
+
 def test_failed_factorization_is_reported_as_a_degenerate_steady_state():
     """Without baths L is coherent only: SuperLU fails on the 924 block, and the error names it."""
     spec = ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=0.01, J34=critical_j34(5.0))

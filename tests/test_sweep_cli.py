@@ -328,6 +328,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert "not found" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
 
+    # an --out in a missing directory, or naming a directory, is refused before any point is solved
+    good = tmp_path / "good.json"
+    good.write_text(small_config())
+    with monkeypatch.context() as patch:
+        patch.setattr("spindiode.cli.run_sweep", lambda config: pytest.fail("a point was solved"))
+        for out in (tmp_path / "missing" / "t.csv", tmp_path):
+            assert main(["sweep", "--config", str(good), "--out", str(out)]) == 2
+            assert "--out must name a file in an existing directory" in capsys.readouterr().err
+
     bad = tmp_path / "bad.json"
     bad.write_text("{\"axes\": []}")
     rc = main(["sweep", "--config", str(bad), "--out", str(tmp_path / "o.csv")])
