@@ -77,7 +77,10 @@ def _cmd_figure(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file, or a path below one
+        raise ConfigError(f"--out must name a directory: {exc}") from None
     tables = run_preset(args.preset, points=args.points, workers=workers)
     ext = args.format
     for part, table in tables.items():

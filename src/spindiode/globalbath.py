@@ -24,11 +24,12 @@ X_C = sum_{omega in C} sqrt(rate(omega)) A(omega), assembled by
 Everything is assembled in the energy eigenbasis of H, where the
 Hamiltonian superoperator is diagonal and the A(omega) are sparse
 blocks; steady states are solved there and rotated back only at the
-end.  ``evaluate_heat_diode`` diagonalizes H once per point: both biases
-share the eigensystem and one transition table per bath site, so a bias
-only adds its rates (one array expression over the distinct frequencies).
-Each bias builds its generator in one CSR pass over both baths'
-transition pairs and solves it with ``steady_state_solve``, the solve of
+end.  The caller diagonalizes H and builds one transition table per bath
+site (``_transitions``); ``evaluate_heat_diode`` does so once per point,
+so both biases share them and a bias only adds its rates (one array
+expression over the distinct frequencies).  ``_heat_liouvillian`` builds
+a bias's generator from the tables in one CSR pass over both baths'
+transition pairs; it is solved with ``steady_state_solve``, the solve of
 the spin chains, which factors only the block reachable from the
 populations (64-66 of 4096 indices for six spins at cutoff 0).  Each
 bath's current comes from the energy-basis state and the bath's pairs.
@@ -46,7 +47,7 @@ import numpy as np
 
 from .liouville import Liouvillian, _pairs, _superop
 from .models import ModelSpec, Variant, build_hamiltonian, chain_ends
-from .spinops import SIGMA_X, Operator, _as_matrix, site_operator
+from .spinops import SIGMA_X, Operator, _finite_hermitian, site_operator
 from .steadystate import steady_state_solve
 
 __all__ = [
@@ -125,44 +126,32 @@ def _cluster(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _eigensystem(H) -> tuple[np.ndarray, np.ndarray]:
     """(eps, U) of a finite Hermitian H."""
-    Hm = _as_matrix(H)
-    if not (np.isfinite(Hm).all() and np.max(np.abs(Hm - Hm.conj().T)) <= 1e-10):
-        raise ValueError("H must be finite and Hermitian")
-    return np.linalg.eigh(Hm)
+    return np.linalg.eigh(_finite_hermitian(H, "H"))
 
 
-class _EigenBlocks:
-    """Eigen-operator decomposition of one coupling operator.
+def _transitions(eigensystem, coupling) -> tuple:
+    """Transition table (rows, cols, values, freqs, inverse) of one coupling operator C.
 
-    Holds the eigenvectors U of H and the transition table of the
-    rotated coupling U^dagger C U: its nonzero elements ``values`` at
-    (``rows``, ``cols``) with grouped frequency eps' - eps =
-    ``freqs[inverse]``, sorted by frequency; ``freqs`` are the distinct
-    frequencies, increasing.  A(omega) is the part of the table at one
-    frequency.
+    ``values`` are the nonzero elements of U^dagger C U, with U the eigenvectors of the
+    ``eigensystem`` (eps, U), at (``rows``, ``cols``), sorted by their grouped frequency
+    eps' - eps = ``freqs[inverse]``; ``freqs`` are the distinct frequencies, increasing.
+    A(omega) is the part of the table at one frequency.
     """
+    Cm = _finite_hermitian(coupling, "coupling")
+    eps, U = eigensystem
+    tol = 1e-9 * max(float(np.abs(eps).max()), 1.0)
+    labels, means = _cluster(eps, tol)
 
-    def __init__(self, eigensystem, coupling):
-        Cm = _as_matrix(coupling)
-        if not (np.isfinite(Cm).all() and np.max(np.abs(Cm - Cm.conj().T)) <= 1e-10):
-            raise ValueError("coupling must be finite and Hermitian")
-        eps, U = eigensystem
-        tol = 1e-9 * max(float(np.abs(eps).max()), 1.0)
-        labels, means = _cluster(eps, tol)
-
-        Ct = U.conj().T @ Cm @ U
-        rows, cols = np.nonzero(np.abs(Ct) > 1e-13 * max(np.abs(Ct).max(), 1e-300))
-        gap_labels, gap_means = _cluster(means[labels[cols]] - means[labels[rows]], tol)
-        # snap the group containing zero exactly to zero
-        gap_means[np.abs(gap_means) <= tol] = 0.0
-        omega = gap_means[gap_labels]
-        order = np.argsort(omega, kind="stable")
-
-        self.U = U
-        self.rows = rows[order]
-        self.cols = cols[order]
-        self.values = Ct[self.rows, self.cols]
-        self.freqs, self.inverse = np.unique(omega[order], return_inverse=True)
+    Ct = U.conj().T @ Cm @ U
+    rows, cols = np.nonzero(np.abs(Ct) > 1e-13 * max(np.abs(Ct).max(), 1e-300))
+    gap_labels, gap_means = _cluster(means[labels[cols]] - means[labels[rows]], tol)
+    # snap the group containing zero exactly to zero
+    gap_means[np.abs(gap_means) <= tol] = 0.0
+    omega = gap_means[gap_labels]
+    order = np.argsort(omega, kind="stable")
+    rows, cols = rows[order], cols[order]
+    freqs, inverse = np.unique(omega[order], return_inverse=True)
+    return rows, cols, Ct[rows, cols], freqs, inverse
 
 
 def eigen_operators(H, coupling):
@@ -173,50 +162,33 @@ def eigen_operators(H, coupling):
     sum A(omega) = coupling, A(-omega) = A(omega)^dagger and
     [H, A(omega)] = -omega A(omega).
     """
-    eb = _EigenBlocks(_eigensystem(H), coupling)
+    eigensystem = _eigensystem(H)
+    U = eigensystem[1]
+    rows, cols, values, freqs, inverse = _transitions(eigensystem, coupling)
     out = []
-    for k, omega in enumerate(eb.freqs):
-        A = np.zeros_like(eb.U)
-        at = eb.inverse == k
-        A[eb.rows[at], eb.cols[at]] = eb.values[at]
-        out.append((float(omega), Operator(eb.U @ A @ eb.U.conj().T)))
+    for k, omega in enumerate(freqs):
+        A = np.zeros_like(U)
+        at = inverse == k
+        A[rows[at], cols[at]] = values[at]
+        out.append((float(omega), Operator(U @ A @ U.conj().T)))
     return out
 
 
-class _HeatGenerator:
-    """The bias-independent part of a heat generator, built once from H.
+def _heat_liouvillian(eps, tables, baths) -> tuple[Liouvillian, list[tuple]]:
+    """The energy-basis generator of ``baths`` in one CSR build over all their pairs, and each bath's pairs.
 
-    Holds the eigensystem and one sigma_x transition table per bath site (built on
-    first use); a bias only adds the baths' rates.
+    ``eps`` are the eigenvalues of H and ``tables`` holds the sigma_x transition table of each
+    bath's site.  A bath's transitions form single-linkage clusters of width bath.secular_cutoff;
+    cluster C jumps with sum_{w in C} sqrt(rate(w)) A(w).  The pairs are what heat_current reads.
     """
-
-    def __init__(self, H):
-        self.eigensystem = _eigensystem(H)
-        self._tables = {}
-
-    def jumps(self, bath: ThermalBathSpec) -> tuple:
-        """The bath's jump table (ids, rows, cols, values, rates) in the energy basis.
-
-        The transitions of sigma_x at bath.site, sorted by frequency, form single-linkage
-        clusters of width bath.secular_cutoff; cluster C jumps with sum_{w in C} sqrt(rate(w)) A(w).
-        """
-        if bath.site not in self._tables:
-            n = len(self.eigensystem[0]).bit_length() - 1
-            self._tables[bath.site] = _EigenBlocks(self.eigensystem, site_operator(n, bath.site, SIGMA_X))
-        eb = self._tables[bath.site]
-        rates = _rates(eb.freqs, bath.temperature, bath.gamma)[eb.inverse]
-        return _cluster(eb.freqs, bath.secular_cutoff)[0][eb.inverse], eb.rows, eb.cols, eb.values, rates
-
-    def liouvillian(self, baths) -> tuple[Liouvillian, list[tuple]]:
-        """The energy-basis generator in one CSR build over all baths' pairs, and each bath's pairs.
-
-        The pairs are what heat_current reads.
-        """
-        eps = self.eigensystem[0]
-        pairs = [_pairs(self.jumps(bath)) for bath in baths]
-        if not pairs:
-            raise ValueError("need at least one bath")
-        return Liouvillian(_superop(np.diag(eps), tuple(map(np.concatenate, zip(*pairs))), len(eps))), pairs
+    pairs = []
+    for bath in baths:
+        rows, cols, values, freqs, inverse = tables[bath.site]
+        rates = _rates(freqs, bath.temperature, bath.gamma)[inverse]
+        pairs.append(_pairs((_cluster(freqs, bath.secular_cutoff)[0][inverse], rows, cols, values, rates)))
+    if not pairs:
+        raise ValueError("need at least one bath")
+    return Liouvillian(_superop(np.diag(eps), tuple(map(np.concatenate, zip(*pairs))), len(eps))), pairs
 
 
 def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, np.ndarray]:
@@ -225,8 +197,10 @@ def assemble_global_liouvillian(H, baths) -> tuple[Liouvillian, np.ndarray]:
     L acts in the energy eigenbasis of H (a state rho is U^dagger rho U there), where the
     coherent part is diagonal.  All baths share one diagonalization.
     """
-    generator = _HeatGenerator(H)
-    return generator.liouvillian(baths)[0], generator.eigensystem[1]
+    eigensystem = _eigensystem(H)
+    n = len(eigensystem[0]).bit_length() - 1
+    tables = {bath.site: _transitions(eigensystem, site_operator(n, bath.site, SIGMA_X)) for bath in baths}
+    return _heat_liouvillian(eigensystem[0], tables, baths)[0], eigensystem[1]
 
 
 def heat_current(eps: np.ndarray, pairs: tuple, rho_e: np.ndarray) -> float:
@@ -281,13 +255,14 @@ def evaluate_heat_diode(
         raise ValueError(f"need T_H > T_C, got T_H={T_H}, T_C={T_C}")
     H = build_hamiltonian(spec)
     first, last = chain_ends(spec)
-    generator = _HeatGenerator(H)  # one diagonalization, one transition table per site, both biases
-    eps, U = generator.eigensystem
+    eigensystem = _eigensystem(H)  # one diagonalization and one transition table per chain end, both biases
+    tables = {s: _transitions(eigensystem, site_operator(spec.n_sites, s, SIGMA_X)) for s in (first, last)}
+    eps, U = eigensystem
 
     currents, balance, states = [], [], []
     for T1, Tn in ((T_H, T_C), (T_C, T_H)):
         baths = [ThermalBathSpec(first, T1, gamma, secular_cutoff), ThermalBathSpec(last, Tn, gamma, secular_cutoff)]
-        L, pairs = generator.liouvillian(baths)
+        L, pairs = _heat_liouvillian(eps, tables, baths)
         rho_e = steady_state_solve(L).rho_ss.matrix
         k1, kn = (heat_current(eps, p, rho_e) for p in pairs)
         currents.append(k1)

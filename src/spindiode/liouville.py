@@ -26,7 +26,16 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .spinops import SIGMA_MINUS, SIGMA_Z, Operator, StateVector, _as_matrix, _jw_annihilator, site_operator
+from .spinops import (
+    SIGMA_MINUS,
+    SIGMA_Z,
+    Operator,
+    StateVector,
+    _as_matrix,
+    _finite_hermitian,
+    _jw_annihilator,
+    site_operator,
+)
 
 __all__ = [
     "DissipatorKind",
@@ -187,6 +196,8 @@ class Liouvillian:
         m = sp.csr_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError("Liouvillian must be square")
+        if not np.isfinite(m.data).all():
+            raise ValueError("Liouvillian entries must be finite")
         self.matrix = m
         self.dim = m.shape[0]
         self.hilbert_dim = int(round(np.sqrt(self.dim)))
@@ -237,9 +248,7 @@ def assemble_liouvillian(H, dissipators) -> Liouvillian:
     dissipators = tuple(dissipators)
     if H is None and not dissipators:
         raise ValueError("need a Hamiltonian or at least one dissipator")
-    Hm = None if H is None else (H if isinstance(H, Operator) else Operator(H)).matrix
-    if Hm is not None and not (np.isfinite(Hm).all() and np.max(np.abs(Hm - Hm.conj().T)) <= 1e-10):
-        raise ValueError("H must be finite and Hermitian")
+    Hm = None if H is None else _finite_hermitian(H if isinstance(H, Operator) else Operator(H), "H")
     dim = 2 ** max(d.site for d in dissipators) if H is None else Hm.shape[0]
     return Liouvillian(_superop(Hm, _pairs(_jumps(dissipators, dim.bit_length() - 1)), dim))
 

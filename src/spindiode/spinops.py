@@ -63,6 +63,14 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
+def _finite_hermitian(op, name: str) -> np.ndarray:
+    """The matrix of ``op``; ValueError unless it is finite and Hermitian to 1e-10."""
+    m = _as_matrix(op)
+    if not (np.isfinite(m).all() and np.max(np.abs(m - m.conj().T)) <= 1e-10):
+        raise ValueError(f"{name} must be finite and Hermitian")
+    return m
+
+
 class Operator:
     """A dense operator on an n-spin Hilbert space.
 

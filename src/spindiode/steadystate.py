@@ -385,7 +385,9 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     m = m / np.trace(m).real
     rho = Operator(_repair_psd(m))
     residual = float(np.linalg.norm(L.matrix @ vectorize(rho)))
-    if not residual <= 1e-8 * scale:  # a NaN residual fails too
+    if not np.isfinite(residual):
+        raise RuntimeError(f"trace-constrained solve: non-finite residual {residual}; L or rho holds NaN or inf")
+    if not residual <= 1e-8 * scale:
         raise RuntimeError(
             f"trace-constrained solve residual {residual:.3e} exceeds "
             f"{1e-8 * scale:.3e}; the steady state is likely degenerate "

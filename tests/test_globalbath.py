@@ -12,8 +12,10 @@ from spindiode import globalbath, steadystate
 from spindiode.globalbath import (
     ThermalBathSpec,
     _cluster,
-    _HeatGenerator,
+    _eigensystem,
+    _heat_liouvillian,
     _rates,
+    _transitions,
     assemble_global_liouvillian,
     bath_rate,
     eigen_operators,
@@ -255,41 +257,57 @@ def heat_hq(h):
     return build_hamiltonian(spec), chain_ends(spec)
 
 
+def sigma_x_tables(H, sites):
+    """H's eigenvalues and the transition table of sigma_x at each site, as evaluate_heat_diode makes them."""
+    eigensystem = _eigensystem(H)
+    n = len(eigensystem[0]).bit_length() - 1
+    return eigensystem[0], {site: _transitions(eigensystem, site_operator(n, site, SIGMA_X)) for site in sites}
+
+
 @pytest.mark.parametrize("h, cutoff", [(None, 0.0), (None, 0.5), (5.0, 0.0), (9.0, 0.0)])
 def test_shared_generator_matches_fresh_assembly_per_bias(h, cutoff):
-    """One _HeatGenerator asked for both biases equals a fresh assembly for each, entry for entry.
+    """One set of tables used for both biases gives a fresh assembly's L for each, entry for entry.
 
     h = None is the three-spin chain, otherwise six-spin Heat_HQ on its critical line.
     """
     H, (first, last) = (small_hamiltonian(3), (1, 3)) if h is None else heat_hq(h)
-    generator = _HeatGenerator(H)
+    eps, tables = sigma_x_tables(H, (first, last))
     for T1, Tn in ((10.1, 0.1), (0.1, 10.1)):
         baths = [ThermalBathSpec(first, T1, 0.8, cutoff), ThermalBathSpec(last, Tn, 0.8, cutoff)]
-        shared, fresh = generator.liouvillian(baths)[0].matrix, assemble_global_liouvillian(H, baths)[0].matrix
+        shared = _heat_liouvillian(eps, tables, baths)[0].matrix
+        fresh = assemble_global_liouvillian(H, baths)[0].matrix
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(shared, attr), getattr(fresh, attr))
 
 
 def test_heat_point_diagonalizes_once_and_tables_each_site_once(monkeypatch):
     spec = ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=5.0, J34=6.3)
-    eigensystem, eigen_blocks = globalbath._eigensystem, globalbath._EigenBlocks
+    eigensystem, transitions = globalbath._eigensystem, globalbath._transitions
     diagonalized, couplings = [], []
 
     def counted_eigensystem(H):
         diagonalized.append(H)
         return eigensystem(H)
 
-    def counted_eigen_blocks(eigensys, coupling):
+    def counted_transitions(eigensys, coupling):
         couplings.append(coupling)
-        return eigen_blocks(eigensys, coupling)
+        return transitions(eigensys, coupling)
 
     monkeypatch.setattr(globalbath, "_eigensystem", counted_eigensystem)
-    monkeypatch.setattr(globalbath, "_EigenBlocks", counted_eigen_blocks)
+    monkeypatch.setattr(globalbath, "_transitions", counted_transitions)
     evaluate_heat_diode(spec)
     assert len(diagonalized) == 1
     assert len(couplings) == 2
     for coupling, site in zip(couplings, chain_ends(spec)):
         assert np.array_equal(coupling.matrix, site_operator(6, site, SIGMA_X).matrix)
+
+
+def test_heat_builders_refuse_no_bath_and_a_site_outside_the_chain():
+    H = heat_hq(5.0)[0]
+    with pytest.raises(ValueError, match="need at least one bath"):
+        assemble_global_liouvillian(H, [])
+    with pytest.raises(ValueError, match="site 7 out of range for 6 sites"):
+        assemble_global_liouvillian(H, [ThermalBathSpec(site=7, temperature=1.0)])
 
 
 def test_zero_coupling_fails_with_the_degenerate_steady_state_error():
@@ -395,9 +413,9 @@ def test_heat_currents_balance_out_of_equilibrium():
     assert K1 > 1e-6  # the hot bath heats the chain
     assert abs(K1 + K3) < 1e-10
     # the energy-basis flux form of the same state, with no rotation
-    generator = _HeatGenerator(H)
-    pairs = generator.liouvillian(baths)[1]
-    assert [heat_current(generator.eigensystem[0], p, rho_e) for p in pairs] == pytest.approx([K1, K3], abs=1e-12)
+    eps, tables = sigma_x_tables(H, (1, 3))
+    pairs = _heat_liouvillian(eps, tables, baths)[1]
+    assert [heat_current(eps, p, rho_e) for p in pairs] == pytest.approx([K1, K3], abs=1e-12)
 
 
 def test_evaluate_heat_diode_tuned_point():
@@ -509,17 +527,21 @@ def test_heat_states_are_null_vectors_of_the_dense_gkls_oracle(h):
 def test_dense_state_check_sees_a_rate_off_by_a_millionth(monkeypatch):
     """Rates of the site-1 bath scaled by 1 + 1e-6 in the solver only: the oracle sees a wrong state.
 
-    Measured: 2.6e-8 on the forward state (the blocked reverse state stays at 3.3e-15).
+    The site-1 table's values are scaled by sqrt(1 + 1e-6), so each of its pairs weighs 1 + 1e-6 more.
+    Measured: 2.6e-8 on the forward state (the blocked reverse state stays at 4.0e-15).
     """
-    jumps = _HeatGenerator.jumps
+    transitions, site_1 = globalbath._transitions, site_operator(6, 1, SIGMA_X).matrix
 
-    def scaled(self, bath):
-        *table, rates = jumps(self, bath)
-        return *table, rates * (1.0 + 1e-6 if bath.site == 1 else 1.0)
+    def scaled(eigensystem, coupling):
+        rows, cols, values, freqs, inverse = transitions(eigensystem, coupling)
+        if np.array_equal(coupling.matrix, site_1):
+            values = values * math.sqrt(1.0 + 1e-6)
+        return rows, cols, values, freqs, inverse
 
-    monkeypatch.setattr(_HeatGenerator, "jumps", scaled)
     spec = ModelSpec(variant=Variant.HEAT_HQ, delta=0.01, h=5.0, J34=6.3)
-    m = evaluate_heat_diode(spec, T_C=0.1, T_H=10.1, gamma=1.0)
+    with monkeypatch.context() as patch:  # the oracle's eigen_operators use the true tables
+        patch.setattr(globalbath, "_transitions", scaled)
+        m = evaluate_heat_diode(spec, T_C=0.1, T_H=10.1, gamma=1.0)
     assert dense_gkls_residual(5.0, m.rho_f.matrix, 10.1, 0.1) > 1e-12
 
 

@@ -369,14 +369,25 @@ def test_fast_solver_refuses_degenerate_null_space():
 
 
 def test_fast_solver_refuses_a_nan_residual():
-    """A NaN in L outside the population block leaves the solve clean; the residual over all of L is NaN."""
+    """A NaN put into L outside the population block leaves the solve clean; the residual over all of L is NaN.
+
+    Liouvillian refuses a NaN entry, so it goes into the stored values after construction.
+    """
     L = small_chain()
     outside = np.setdiff1d(np.arange(L.dim), reachable(L, np.arange(0, L.dim, L.hilbert_dim + 1)))
-    m = L.matrix.tocsc()
-    col = next(c for c in outside if m.indptr[c + 1] > m.indptr[c])
-    m.data[m.indptr[col]] = np.nan
-    with pytest.raises(RuntimeError, match="residual nan"):
-        steady_state_solve(Liouvillian(m))
+    m = L.matrix
+    entry = next(k for k in range(m.nnz) if m.indices[k] in outside)
+    m.data[entry] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite residual nan"):
+        steady_state_solve(L)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_liouvillian_refuses_non_finite_entries(bad):
+    m = small_chain().matrix.copy()
+    m.data[0] = bad
+    with pytest.raises(ValueError, match="Liouvillian entries must be finite"):
+        Liouvillian(m)
 
 
 def test_failed_factorization_is_reported_as_a_degenerate_steady_state():

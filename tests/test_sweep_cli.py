@@ -376,6 +376,14 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert rc == 2
         assert f"{kind} takes [start, stop, num]" in capsys.readouterr().err
     assert not (tmp_path / "short.csv").exists()
+    # an --out that names a file, or a path below one, is a config error before any point is solved
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    with monkeypatch.context() as patch:
+        patch.setattr("spindiode.cli.run_preset", lambda *args, **kwargs: pytest.fail("a point was solved"))
+        for out in (a_file, a_file / "sub"):
+            assert main(["figure", "fig2c", "--out", str(out)]) == 2
+            assert "--out must name a directory" in capsys.readouterr().err
     for env in ("-4", "zero"):
         monkeypatch.setenv("SPINDIODE_WORKERS", env)
         rc = main(["figure", "fig2c", "--out", str(fig_dir)])
