@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouville import Liouvillian, _pairs, _superop
-from .models import ModelSpec, Variant, build_hamiltonian, chain_ends
+from .models import _VARIANTS, ModelSpec, build_hamiltonian, chain_ends
 from .spinops import SIGMA_X, Operator, _finite_hermitian, site_operator
 from .steadystate import steady_state_solve
 
@@ -246,10 +246,10 @@ def evaluate_heat_diode(
     Forward bias holds the first chain site at T_H and the last at T_C;
     reverse bias swaps the temperatures.  R_Q = -K_f / K_r with K the
     current out of the bath at site 1 (checked against the balancing
-    current at the far bath).  Accepts the local-field heat variant and
-    the linear reference chain.
+    current at the far bath).  Accepts the variants whose ``_VARIANTS`` row
+    lists the heat transport: the local-field heat variant and the linear chain.
     """
-    if spec.variant not in (Variant.HEAT_HQ, Variant.LINEAR_REFERENCE):
+    if "heat" not in _VARIANTS[spec.variant].transports:
         raise ValueError(f"heat transport is defined for Heat_HQ/LinearReference, got {spec.variant.value}")
     if T_H <= T_C:
         raise ValueError(f"need T_H > T_C, got T_H={T_H}, T_C={T_C}")

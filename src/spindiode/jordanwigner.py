@@ -23,7 +23,7 @@ import numpy as np
 
 # assemble_liouvillian and steady_state_solve are unused; bench/tracer.py patches them here
 from .liouville import DissipatorKind, assemble_liouvillian  # noqa: F401
-from .models import ModelSpec, Variant, current_bonds
+from .models import _VARIANTS, ModelSpec, current_bonds
 from .observables import DiodeMetrics, bias_dissipators, diode_metrics
 from .spinops import Operator, _jw_annihilator
 from .steadystate import steady_state_solve  # noqa: F401
@@ -70,7 +70,7 @@ def build_jw_hamiltonian(spec: ModelSpec) -> Operator:
     Equals the spin Hamiltonian minus the constant Delta*J dropped with
     the sigma_z sigma_z rewrite.
     """
-    if spec.variant is not Variant.DIODE:
+    if "fermion" not in _VARIANTS[spec.variant].transports:
         raise ValueError(f"fermionic form is defined for the Diode variant, got {spec.variant.value}")
     f = jw_fermions(6)
     dim = 2**6

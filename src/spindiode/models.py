@@ -11,6 +11,8 @@ with X_ij the XX exchange and Z_ij = sigma_z sigma_z.  All energies are
 measured in units of J (J = 1 internally).  The other variants replace
 the Z coupling by local fields, flip interference signs, add spins at
 either end, add perturbations, or attach a driven shadow qubit to spin 3.
+Each variant is one row of ``_VARIANTS``: its sites, knobs, bath ends, the
+transports that accept it, and its couplings as a function of the spec.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, fields as dc_fields, replace as dc_replace
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,33 +53,6 @@ class Variant(Enum):
     LINEAR_REFERENCE = "LinearReference"
 
 
-class _Layout(NamedTuple):
-    n_sites: int
-    knobs: set[str]  # the numeric fields that may leave their default
-    ends: tuple[int, int]  # the bath sites, hot end first under forward bias
-
-
-_DIODE = {"Delta", "delta", "J34"}
-_FIELD = {"delta", "J34", "h"}
-_VARIANTS = {
-    Variant.DIODE: _Layout(6, _DIODE, (1, 6)),
-    Variant.DIODE_PERTURBED: _Layout(6, _DIODE | {"h3", "h4", "delta_prime"}, (1, 6)),
-    Variant.FIELD_H1: _Layout(6, _FIELD, (1, 6)),
-    Variant.SIGN_H2: _Layout(6, _FIELD, (1, 6)),
-    Variant.HEAT_HQ: _Layout(6, _FIELD | {"omega_global"}, (1, 6)),
-    Variant.EXTENDED_MXX: _Layout(7, _DIODE, (1, 7)),
-    Variant.EXTENDED_XXM: _Layout(7, _DIODE, (1, 7)),
-    Variant.EXTENDED_XXZM: _Layout(7, _DIODE, (1, 7)),
-    # the baths stay on the six-spin chain; the shadow qubit has its own decay channel
-    Variant.SHADOW_CORRECTED: _Layout(7, _DIODE | {"A", "omega_drive", "gamma_S"}, (1, 6)),
-    # delta and J34 do not enter the reference chain (their bonds involve
-    # the removed spin); Delta, h and omega_global are all allowed so the
-    # chain can serve as reference for both the spin and the heat diode.
-    Variant.LINEAR_REFERENCE: _Layout(5, _DIODE | {"h", "omega_global"}, (1, 5)),
-}
-_KNOBS = set().union(*(layout.knobs for layout in _VARIANTS.values()))
-
-
 class Term(NamedTuple):
     """One Hamiltonian term: ``coeff`` times the named coupling.
 
@@ -89,6 +64,66 @@ class Term(NamedTuple):
     kind: str
     sites: tuple[int, ...]
     coeff: float
+
+
+def _diode(spec: ModelSpec, offset: int = 0, sign: float = 1.0) -> list[Term]:
+    """The seven XX bonds of the six-spin chain on sites 1 + offset .. 6 + offset; ``sign``
+    multiplies the bonds (2, 3) and (3, 5), one arm of each interfering path."""
+    bonds = {(1, 2): 1.0, (2, 3): sign * (1.0 + spec.delta), (2, 4): 1.0, (3, 4): spec.J34,
+             (3, 5): sign * 1.0, (4, 5): 1.0, (5, 6): 1.0}
+    return [Term("xx", (a + offset, b + offset), coeff) for (a, b), coeff in bonds.items()]
+
+
+def _z(coeff: float, sites) -> list[Term]:
+    return [Term("z", (i,), coeff) for i in sites]
+
+
+class _Layout(NamedTuple):
+    n_sites: int
+    knobs: set[str]  # the numeric fields that may leave their default
+    ends: tuple[int, int]  # the bath sites, hot end first under forward bias
+    transports: set[str]  # the sweep bath modes that accept the variant
+    terms: Callable[[ModelSpec], list[Term]]  # the couplings in assembly order, zero ones included
+
+
+_DIODE = {"Delta", "delta", "J34"}
+_FIELD = {"delta", "J34", "h"}
+_SPIN, _HEAT = {"spin"}, {"spin", "heat"}
+_VARIANTS = {
+    Variant.DIODE: _Layout(6, _DIODE, (1, 6), {"spin", "fermion"},
+                           lambda s: _diode(s) + [Term("zz", (1, 2), s.Delta)]),
+    Variant.DIODE_PERTURBED: _Layout(
+        6, _DIODE | {"h3", "h4", "delta_prime"}, (1, 6), _SPIN,
+        lambda s: _diode(s) + [Term("zz", (1, 2), s.Delta), Term("z", (3,), s.h3), Term("z", (4,), s.h4),
+                               Term("xx", (4, 5), s.delta_prime)],
+    ),
+    Variant.FIELD_H1: _Layout(6, _FIELD, (1, 6), _SPIN, lambda s: _diode(s) + _z(s.h, [1, 2])),
+    Variant.SIGN_H2: _Layout(6, _FIELD, (1, 6), _SPIN, lambda s: _diode(s, sign=-1.0) + _z(s.h, [1, 2])),
+    Variant.HEAT_HQ: _Layout(6, _FIELD | {"omega_global"}, (1, 6), _HEAT,
+                             lambda s: _diode(s) + _z(s.h, [1, 2]) + _z(s.omega_global, range(1, 7))),
+    Variant.EXTENDED_MXX: _Layout(7, _DIODE, (1, 7), _SPIN,
+                                  lambda s: _diode(s) + [Term("zz", (1, 2), s.Delta), Term("xx", (6, 7), 1.0)]),
+    Variant.EXTENDED_XXM: _Layout(7, _DIODE, (1, 7), _SPIN,
+                                  lambda s: _diode(s, 1) + [Term("zz", (2, 3), s.Delta), Term("xx", (1, 2), 1.0)]),
+    Variant.EXTENDED_XXZM: _Layout(
+        7, _DIODE, (1, 7), _SPIN,
+        lambda s: _diode(s, 1) + [Term("zz", (2, 3), s.Delta), Term("xx", (1, 2), 1.0), Term("zz", (1, 2), s.Delta)],
+    ),
+    # the baths stay on the six-spin chain; the shadow qubit has its own decay channel
+    Variant.SHADOW_CORRECTED: _Layout(
+        7, _DIODE | {"A", "omega_drive", "gamma_S"}, (1, 6), _SPIN,
+        lambda s: _diode(s) + [Term("zz", (1, 2), s.Delta), Term("raise2", (3, 7), s.A),
+                               Term("z", (7,), -s.resolved_omega_drive())],
+    ),
+    # bonds (1,2),(2,4),(4,5),(5,6) of the six-spin chain survive the removal of spin 3, renumbered, so
+    # delta and J34 do not enter; Delta, h and omega_global let it serve both the spin and the heat diode
+    Variant.LINEAR_REFERENCE: _Layout(
+        5, _DIODE | {"h", "omega_global"}, (1, 5), _HEAT,
+        lambda s: [Term("xx", (i, i + 1), 1.0) for i in range(1, 5)] + [Term("zz", (1, 2), s.Delta)]
+        + _z(s.h, [1, 2]) + _z(s.omega_global, range(1, 6)),
+    ),
+}
+_KNOBS = set().union(*(layout.knobs for layout in _VARIANTS.values()))
 
 
 @dataclass(frozen=True)
@@ -178,78 +213,11 @@ class ModelSpec:
         return cls(**doc)
 
 
-def _diode_terms(delta: float, j34: float) -> list[Term]:
-    """The seven XX bonds of the reference six-spin chain."""
-    return [
-        Term("xx", (1, 2), 1.0),
-        Term("xx", (2, 3), 1.0 + delta),
-        Term("xx", (2, 4), 1.0),
-        Term("xx", (3, 4), j34),
-        Term("xx", (3, 5), 1.0),
-        Term("xx", (4, 5), 1.0),
-        Term("xx", (5, 6), 1.0),
-    ]
-
-
-def _shift(terms: list[Term], offset: int) -> list[Term]:
-    return [Term(t.kind, tuple(s + offset for s in t.sites), t.coeff) for t in terms]
-
-
 def hamiltonian_terms(spec: ModelSpec) -> list[Term]:
-    """The term list of a variant, before assembly into a matrix."""
-    v = spec.variant
-    if v is Variant.DIODE:
-        terms = _diode_terms(spec.delta, spec.J34)
-        terms.append(Term("zz", (1, 2), spec.Delta))
-    elif v is Variant.DIODE_PERTURBED:
-        terms = _diode_terms(spec.delta, spec.J34)
-        terms.append(Term("zz", (1, 2), spec.Delta))
-        terms.append(Term("z", (3,), spec.h3))
-        terms.append(Term("z", (4,), spec.h4))
-        terms.append(Term("xx", (4, 5), spec.delta_prime))
-    elif v in (Variant.FIELD_H1, Variant.SIGN_H2, Variant.HEAT_HQ):
-        terms = _diode_terms(spec.delta, spec.J34)
-        if v is Variant.SIGN_H2:
-            terms[1] = Term("xx", (2, 3), -(1.0 + spec.delta))
-            terms[4] = Term("xx", (3, 5), -1.0)
-        terms.append(Term("z", (1,), spec.h))
-        terms.append(Term("z", (2,), spec.h))
-        if v is Variant.HEAT_HQ and spec.omega_global != 0.0:
-            terms.extend(Term("z", (i,), spec.omega_global) for i in range(1, 7))
-    elif v is Variant.EXTENDED_MXX:
-        terms = _diode_terms(spec.delta, spec.J34)
-        terms.append(Term("zz", (1, 2), spec.Delta))
-        terms.append(Term("xx", (6, 7), 1.0))
-    elif v in (Variant.EXTENDED_XXM, Variant.EXTENDED_XXZM):
-        terms = _shift(_diode_terms(spec.delta, spec.J34), 1)
-        terms.append(Term("zz", (2, 3), spec.Delta))
-        terms.append(Term("xx", (1, 2), 1.0))
-        if v is Variant.EXTENDED_XXZM:
-            terms.append(Term("zz", (1, 2), spec.Delta))
-    elif v is Variant.SHADOW_CORRECTED:
-        terms = _diode_terms(spec.delta, spec.J34)
-        terms.append(Term("zz", (1, 2), spec.Delta))
-        terms.append(Term("raise2", (3, 7), spec.A))
-        terms.append(Term("z", (7,), -spec.resolved_omega_drive()))
-    elif v is Variant.LINEAR_REFERENCE:
-        # bonds (1,2),(2,4),(4,5),(5,6) of the six-spin chain survive the
-        # removal of spin 3; renumbered (1,2),(2,3),(3,4),(4,5)
-        terms = [
-            Term("xx", (1, 2), 1.0),
-            Term("xx", (2, 3), 1.0),
-            Term("xx", (3, 4), 1.0),
-            Term("xx", (4, 5), 1.0),
-            Term("zz", (1, 2), spec.Delta),
-            Term("z", (1,), spec.h),
-            Term("z", (2,), spec.h),
-        ]
-        if spec.omega_global != 0.0:
-            terms.extend(Term("z", (i,), spec.omega_global) for i in range(1, 6))
-    else:
-        raise ValueError(f"unhandled variant {v}")
-
-    if spec.local_fields is not None:
-        terms.extend(Term("z", (i + 1,), f) for i, f in enumerate(spec.local_fields))
+    """The term list of a variant, before assembly into a matrix: its row's couplings, then
+    ``local_fields``, with zero coefficients dropped."""
+    terms = _VARIANTS[spec.variant].terms(spec)
+    terms += [Term("z", (i,), f) for i, f in enumerate(spec.local_fields or (), 1)]
     return [t for t in terms if t.coeff != 0.0]
 
 

@@ -27,7 +27,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .liouville import Liouvillian, propagate, reachable, unvectorize, vectorize
-from .spinops import Operator, StateVector, fidelity_mixed
+from .spinops import Operator, fidelity_mixed
 
 __all__ = [
     "SteadyStateResult",
@@ -436,8 +436,6 @@ def convergence_fidelity(L: Liouvillian, initial, rho_ss, times) -> np.ndarray:
     ``initial`` may be a StateVector or a density Operator.  The steady
     state must be unique (resolve degeneracies before calling).
     """
-    if isinstance(initial, StateVector):
-        initial = initial.density()
     target = rho_ss.rho_ss if isinstance(rho_ss, SteadyStateResult) else rho_ss
     traj = propagate(L, initial, times)
     return np.array([fidelity_mixed(rho, target) for rho in traj])

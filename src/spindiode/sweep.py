@@ -132,6 +132,8 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.bath.mode not in _VARIANTS[self.model.variant].transports:
+            raise ValueError(f"bath.mode: {self.bath.mode} transport is not defined for {self.model.variant.value}")
         if not self.axes:
             raise ValueError("axes: need at least one axis")
         seen = set()
@@ -205,24 +207,29 @@ class SweepConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         model = ModelSpec.from_json(json.dumps(doc.get("model", {})))
-        axes, coupled = doc.get("axes", []), doc.get("coupled", {})
-        if not isinstance(axes, list) or not all(isinstance(a, list) and len(a) == 2 for a in axes):
+        axes, coupled, bath_doc = doc.get("axes", []), doc.get("coupled", {}), doc.get("bath", {})
+        if not isinstance(axes, list) or not all(isinstance(a, list) and len(a) == 2 and isinstance(a[0], str)
+                                                 for a in axes):
             raise ValueError("axes must be a list of [name, values] pairs")
-        if not isinstance(coupled, dict):
+        if not isinstance(coupled, dict) or not all(isinstance(expr, str) for expr in coupled.values()):
             raise ValueError("coupled must be an object of name: expression entries")
+        if not isinstance(bath_doc, dict):
+            raise ValueError("bath must be an object of field: value entries")
         axes = tuple((name, _expand_axis(name, values)) for name, values in axes)
         coupled = tuple(sorted(coupled.items()))
-        bath_doc = doc.get("bath", {})
         bad = set(bath_doc) - {f.name for f in dc_fields(BathConfig)}
         if bad:
             raise ValueError(f"bath: unknown fields {sorted(bad)}")
         bath = BathConfig(**bath_doc)
+        outputs = doc.get("outputs", [])
+        if not isinstance(outputs, list) or not all(isinstance(name, str) for name in outputs):
+            raise ValueError(f"outputs must be a list of metric names, got {outputs!r}")
         return cls(
             model=model,
             axes=axes,
             coupled=coupled,
             bath=bath,
-            outputs=tuple(doc.get("outputs", ())),
+            outputs=tuple(outputs),
             workers=doc.get("workers", 1),
         )
 
@@ -242,6 +249,8 @@ def _expand_axis(name: str, values) -> tuple[float, ...]:
             raise ValueError(f"axes.{name}: {kind} start and stop must be numbers, got {args!r}")
         space = np.linspace if kind == "linspace" else np.logspace
         return tuple(float(x) for x in space(start, stop, positive_int(f"axes.{name}: {kind} num", num)))
+    if not isinstance(values, list):
+        raise ValueError(f"axes.{name} must be a list of values or a descriptor, got {values!r}")
     if any(isinstance(x, (bool, str)) for x in values):
         raise ValueError(f"axes.{name}: values must be numbers, got {values!r}")
     return tuple(float(x) for x in values)

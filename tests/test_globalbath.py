@@ -596,6 +596,8 @@ def test_degenerate_heat_points_are_refused(J34):
 
 
 def test_evaluate_heat_diode_rejects_wrong_variant():
-    spec = ModelSpec(variant=Variant.DIODE, Delta=5.0, delta=0.01, J34=-6.3)
-    with pytest.raises(ValueError):
-        evaluate_heat_diode(spec)
+    """Only Heat_HQ and LinearReference carry heat; every other variant is refused before a solve."""
+    for variant in set(Variant) - {Variant.HEAT_HQ, Variant.LINEAR_REFERENCE}:
+        want = f"^heat transport is defined for Heat_HQ/LinearReference, got {variant.value}$"
+        with pytest.raises(ValueError, match=want):
+            evaluate_heat_diode(ModelSpec(variant=variant))

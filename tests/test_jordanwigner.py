@@ -64,9 +64,10 @@ def test_jw_hamiltonian_matches_spin_hamiltonian():
 
 
 def test_jw_hamiltonian_rejects_other_variants():
-    spec = ModelSpec(variant=Variant.FIELD_H1, delta=0.01, J34=-6.3, h=5.0)
-    with pytest.raises(ValueError):
-        build_jw_hamiltonian(spec)
+    for variant in set(Variant) - {Variant.DIODE}:
+        want = f"^fermionic form is defined for the Diode variant, got {variant.value}$"
+        with pytest.raises(ValueError, match=want):
+            build_jw_hamiltonian(ModelSpec(variant=variant))
 
 
 def test_particle_current_is_half_the_spin_current():

@@ -446,6 +446,44 @@ def test_bit_mask_hamiltonian_equals_site_operator_products_byte_for_byte(varian
         assert restrict_to_sites(cut, window).matrix.tobytes() == dense_hamiltonian(len(window), kept).tobytes()
 
 
+# the seven XX bonds of the six-spin chain at delta = 0.1, J34 = -6.3
+BONDS = [("xx", (1, 2), 1.0), ("xx", (2, 3), 1.1), ("xx", (2, 4), 1.0), ("xx", (3, 4), -6.3),
+         ("xx", (3, 5), 1.0), ("xx", (4, 5), 1.0), ("xx", (5, 6), 1.0)]
+
+
+def test_term_list_of_every_variant():
+    """Each variant's terms at one knob setting, written out term by term in assembly order."""
+    assert set(_VARIANTS) == set(Variant)
+    knobs = dict(Delta=5.0, delta=0.1, J34=-6.3, h=2.0, omega_global=0.5, h3=0.25, h4=-0.75, delta_prime=0.125, A=0.3)
+    expected = {
+        Variant.DIODE: BONDS + [("zz", (1, 2), 5.0)],
+        Variant.DIODE_PERTURBED: BONDS + [("zz", (1, 2), 5.0), ("z", (3,), 0.25), ("z", (4,), -0.75),
+                                          ("xx", (4, 5), 0.125)],
+        Variant.FIELD_H1: BONDS + [("z", (1,), 2.0), ("z", (2,), 2.0)],
+        Variant.SIGN_H2: [("xx", (1, 2), 1.0), ("xx", (2, 3), -1.1), ("xx", (2, 4), 1.0), ("xx", (3, 4), -6.3),
+                          ("xx", (3, 5), -1.0), ("xx", (4, 5), 1.0), ("xx", (5, 6), 1.0),
+                          ("z", (1,), 2.0), ("z", (2,), 2.0)],
+        Variant.HEAT_HQ: BONDS + [("z", (1,), 2.0), ("z", (2,), 2.0), ("z", (1,), 0.5), ("z", (2,), 0.5),
+                                  ("z", (3,), 0.5), ("z", (4,), 0.5), ("z", (5,), 0.5), ("z", (6,), 0.5)],
+        Variant.EXTENDED_MXX: BONDS + [("zz", (1, 2), 5.0), ("xx", (6, 7), 1.0)],
+        Variant.EXTENDED_XXM: [("xx", (2, 3), 1.0), ("xx", (3, 4), 1.1), ("xx", (3, 5), 1.0), ("xx", (4, 5), -6.3),
+                               ("xx", (4, 6), 1.0), ("xx", (5, 6), 1.0), ("xx", (6, 7), 1.0),
+                               ("zz", (2, 3), 5.0), ("xx", (1, 2), 1.0)],
+        Variant.EXTENDED_XXZM: [("xx", (2, 3), 1.0), ("xx", (3, 4), 1.1), ("xx", (3, 5), 1.0), ("xx", (4, 5), -6.3),
+                                ("xx", (4, 6), 1.0), ("xx", (5, 6), 1.0), ("xx", (6, 7), 1.0),
+                                ("zz", (2, 3), 5.0), ("xx", (1, 2), 1.0), ("zz", (1, 2), 5.0)],
+        # omega_drive defaults to Delta + 1.2
+        Variant.SHADOW_CORRECTED: BONDS + [("zz", (1, 2), 5.0), ("raise2", (3, 7), 0.3), ("z", (7,), -6.2)],
+        Variant.LINEAR_REFERENCE: [("xx", (1, 2), 1.0), ("xx", (2, 3), 1.0), ("xx", (3, 4), 1.0), ("xx", (4, 5), 1.0),
+                                   ("zz", (1, 2), 5.0), ("z", (1,), 2.0), ("z", (2,), 2.0), ("z", (1,), 0.5),
+                                   ("z", (2,), 0.5), ("z", (3,), 0.5), ("z", (4,), 0.5), ("z", (5,), 0.5)],
+    }
+    assert set(expected) == set(Variant)
+    for variant, terms in expected.items():
+        spec = ModelSpec(variant=variant, **{k: x for k, x in knobs.items() if k in _VARIANTS[variant].knobs})
+        assert [tuple(t) for t in hamiltonian_terms(spec)] == terms, variant
+
+
 def test_restrict_to_sites_errors():
     spec = ModelSpec(variant=Variant.DIODE, Delta=1.0)
     with pytest.raises(ValueError, match="contiguous"):

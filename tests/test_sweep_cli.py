@@ -79,7 +79,9 @@ def test_config_validation_messages():
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("mode", list(_MODES))
 def test_sweep_names_are_refused_exactly_when_the_point_would_be(variant, mode):
-    """A single-axis sweep is refused at config time iff its point's ModelSpec or BathConfig raises."""
+    """A single-axis sweep is refused at config time iff its point's ModelSpec or BathConfig raises,
+    or its evaluator refuses the variant (heat takes Heat_HQ and LinearReference, fermion takes Diode)."""
+    accepts = {"spin": set(Variant), "heat": {Variant.HEAT_HQ, Variant.LINEAR_REFERENCE}, "fermion": {Variant.DIODE}}
     template = ModelSpec(variant=variant)
     n = template.n_sites
     for name in sorted(_KNOBS | _BATH_FIELDS) + [f"local_field_{k}" for k in range(9)]:
@@ -91,7 +93,7 @@ def test_sweep_names_are_refused_exactly_when_the_point_would_be(variant, mode):
             else:  # site k carries the field: outside 1..n the tuple has the wrong length
                 k = int(name.removeprefix("local_field_"))
                 template.replace(local_fields=[0.0] * (k - 1) + [2.0] + [0.0] * (n - k))
-            point_raises = False
+            point_raises = variant not in accepts[mode]
         except ValueError:
             point_raises = True
         try:
@@ -409,9 +411,12 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert "invalid sweep config" in capsys.readouterr().err
     assert not (tmp_path / "refused.csv").exists()
 
-    # axes and coupled in each other's shape are refused by name
+    # axes and coupled in each other's shape, an axis name or expression that is no string, and a bath
+    # that is no object are refused by name
     for overrides, field in [({"coupled": [["J34", "critical_j34(Delta)"]]}, "coupled"),
-                             ({"axes": {"Delta": [5.0], "delta": [0.01]}}, "axes")]:
+                             ({"axes": {"Delta": [5.0], "delta": [0.01]}}, "axes"),
+                             ({"axes": [[5, [1.0]]]}, "axes"), ({"coupled": {"J34": -6.3}}, "coupled"),
+                             ({"bath": "spin"}, "bath")]:
         cfg = tmp_path / "shape.json"
         cfg.write_text(small_config(**overrides))
         rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "shape.csv")])
@@ -419,6 +424,28 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert "invalid sweep config" in err and f"{field} must be" in err
     assert not (tmp_path / "shape.csv").exists()
+
+    # outputs that are not a list of names, and axis values that are neither a list nor a descriptor
+    for overrides, field in [({"outputs": "RC"}, "outputs"), ({"outputs": {"R": 1}}, "outputs"),
+                             ({"outputs": ["R", 1]}, "outputs"),
+                             ({"axes": [["Delta", 5.0], ["delta", [0.01]]]}, "axes.Delta")]:
+        cfg = tmp_path / "shape.json"
+        cfg.write_text(small_config(**overrides))
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "shape.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid sweep config" in err and f"{field} must be a list" in err
+    assert not (tmp_path / "shape.csv").exists()
+
+    # a transport the variant lacks is a config error, not a table of failed rows
+    for model, mode in [(TUNED, "heat"), ({"variant": "Heat_HQ", "h": 5.0, "delta": 0.01}, "fermion")]:
+        cfg = tmp_path / "transport.json"
+        cfg.write_text(small_config(model=model, axes=[["delta", [0.01, 0.1]]], coupled={}, bath={"mode": mode}))
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "transport.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"bath.mode: {mode} transport is not defined for {model['variant']}" in err
+    assert not (tmp_path / "transport.csv").exists()
 
     # JSON true and strings are refused wherever a number is read, not taken as 1.0 or parsed
     for value in (True, "5"):
