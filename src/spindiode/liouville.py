@@ -187,6 +187,10 @@ def _jumps(dissipators, n_sites: int):
     return _table(pairs)
 
 
+# restrict's Q by index kind (a population, r < c, r > c): own on the diagonal, far at the transposed index
+_OWN, _FAR = np.array([1.0, np.sqrt(0.5), -1j * np.sqrt(0.5)]), np.array([0.0, np.sqrt(0.5), 1j * np.sqrt(0.5)])
+
+
 class Liouvillian:
     """A sparse master-equation generator."""
 
@@ -194,6 +198,8 @@ class Liouvillian:
 
     def __init__(self, matrix: sp.spmatrix):
         m = sp.csr_matrix(matrix)
+        if not m.has_canonical_format:  # one stored entry per (row, column), as steady_state_solve's maps need
+            m = m.tocoo().tocsr()
         if m.shape[0] != m.shape[1]:
             raise ValueError("Liouvillian must be square")
         if not np.isfinite(m.data).all():
@@ -215,27 +221,34 @@ class Liouvillian:
         r < c.  As L maps Hermitian matrices to Hermitian ones, R = Q^dag L[idx][:, idx] Q
         is real CSR.  ValueError unless ``idx`` is closed under (r, c) -> (c, r) and the
         imaginary part of R stays within 1e-12 of its largest entry."""
-        idx, d = np.asarray(idx, dtype=np.int64), self.hilbert_dim
-        n, ar = idx.size, np.arange(idx.size)
-        col, row = np.divmod(idx, d)
-        pos = np.full(d * d, -1)
-        pos[idx] = ar
-        p = pos[row * d + col]  # the position of (c, r)
-        if np.any(p < 0):
-            raise ValueError("index set is not closed under the transposition (r, c) -> (c, r)")
-        # Q[i, i] = own[i] and Q[i, p[i]] = far[p[i]]
-        s, sides = np.sqrt(0.5), [row < col, row > col]
-        own, far = np.select(sides, [s, -1j * s], 1.0), np.select(sides, [s, 1j * s], 0.0)
-        Q = sp.csr_matrix((np.r_[own, far[p]], (np.r_[ar, ar], np.r_[ar, p])), shape=(n, n))
+        idx = np.asarray(idx, dtype=np.int64)
+        (_, p, kind), ar = _hermitian_basis(idx, self.hilbert_dim), np.arange(idx.size)
+        Q = sp.csr_matrix((np.r_[_OWN[kind], _FAR[kind][p]], (np.r_[ar, ar], np.r_[ar, p])), shape=(ar.size,) * 2)
         B = Q.conj().T @ self.matrix[idx][:, idx] @ Q
-        if B.nnz and np.abs(B.data.imag).max() > 1e-12 * np.abs(B.data).max():
-            raise ValueError("L does not preserve Hermiticity: its block is not real in Hermitian coordinates")
+        _check_real(B.data)
         R = B.real.tocsr()
         R.eliminate_zeros()
         return R, Q
 
     def __repr__(self):
         return f"Liouvillian(dim={self.dim}, nnz={self.matrix.nnz})"
+
+
+def _hermitian_basis(idx: np.ndarray, d: int):
+    """Positions in ``idx`` of every vec index (else -1) and of the transposes of ``idx``, and the indices' kinds."""
+    col, row = np.divmod(idx, d)
+    pos = np.full(d * d, -1)
+    pos[idx] = np.arange(idx.size)
+    p = pos[row * d + col]  # the position of (c, r)
+    if np.any(p < 0):
+        raise ValueError("index set is not closed under the transposition (r, c) -> (c, r)")
+    return pos, p, np.select([row < col, row > col], [1, 2], 0)
+
+
+def _check_real(values: np.ndarray) -> None:
+    """ValueError unless the imaginary parts of a block's entries stay within 1e-12 of the largest entry."""
+    if values.size and np.abs(values.imag).max() > 1e-12 * np.abs(values).max():
+        raise ValueError("L does not preserve Hermiticity: its block is not real in Hermitian coordinates")
 
 
 def assemble_liouvillian(H, dissipators) -> Liouvillian:

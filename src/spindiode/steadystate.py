@@ -7,8 +7,8 @@ provided, trading generality for speed:
   many as the null space needs, on each weakly connected block of L in
   turn (:func:`steady_states`: degeneracy counting at every size),
 * a trace-constrained sparse linear solve (:func:`steady_state_solve`:
-  fastest; valid only when the steady state is unique, which it is for
-  delta != 0).
+  fastest, its real block built from index maps kept per pattern of L;
+  valid only when the steady state is unique, as it is for delta != 0).
 
 :func:`spectrum` returns every eigenvalue, from the dense spectra of the
 strongly connected blocks of L: real ones, or one of each conjugate pair.
@@ -26,7 +26,8 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .liouville import Liouvillian, propagate, reachable, unvectorize, vectorize
+from .liouville import (_FAR, _OWN, Liouvillian, _check_real, _hermitian_basis, propagate, reachable, unvectorize,
+                        vectorize)
 from .spinops import Operator, fidelity_mixed
 
 __all__ = [
@@ -96,9 +97,20 @@ def _orthonormal_span(mats: list[np.ndarray], tol: float) -> list[np.ndarray]:
     return [(v[:n] + 1j * v[n:]).reshape(mats[0].shape) for v in vt[s > tol]]
 
 
-# MMD column orderings (SuperLU perm_c) by digest of the stored pattern of A, oldest out past _MAX_ORDERINGS
+# tables by a matrix's pattern (_per_pattern): MMD column orderings (SuperLU perm_c) of A, _block_plan's maps of L
 _ORDERINGS: dict[bytes, np.ndarray] = {}
+_BLOCKS: dict[bytes, tuple] = {}
 _MAX_ORDERINGS = 32
+
+
+def _per_pattern(table: dict, m: sp.spmatrix, build):
+    """``table``'s entry for a digest of m's stored pattern, made by ``build()`` on a miss; the oldest goes first."""
+    key = hashlib.blake2b(m.indptr.tobytes() + m.indices.tobytes(), digest_size=16).digest()
+    if (entry := table.get(key)) is None:
+        entry = table[key] = build()
+        if len(table) > _MAX_ORDERINGS:
+            del table[next(iter(table))]
+    return entry
 
 
 def _splu(A: sp.spmatrix):
@@ -112,17 +124,13 @@ def _splu(A: sp.spmatrix):
     still pivots, and steady_state_solve refines.
     """
     A, opts = A.tocsc(), dict(diag_pivot_thresh=0.01, options={"SymmetricMode": True})
-    key = hashlib.blake2b(A.indptr.tobytes() + A.indices.tobytes(), digest_size=16).digest()
-    p = _ORDERINGS.get(key)
-    if p is None:
+    def order():
         # an incomplete LU that drops all fill runs the same MMD preordering for a fraction of a
         # full LU's cost; ones on A's pattern plus a dominant diagonal (which MMD ignores) keep it
         # nonsingular.  perm_c[i] = j puts column i of A at position j; a copy, as it views the ILU.
         P = sp.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape) + A.nnz * sp.eye(A.shape[0])
-        p = spla.spilu(P.tocsc(), drop_tol=1.0, fill_factor=1, permc_spec="MMD_AT_PLUS_A", **opts).perm_c.copy()
-        if len(_ORDERINGS) >= _MAX_ORDERINGS:
-            del _ORDERINGS[next(iter(_ORDERINGS))]
-        _ORDERINGS[key] = p
+        return spla.spilu(P.tocsc(), drop_tol=1.0, fill_factor=1, permc_spec="MMD_AT_PLUS_A", **opts).perm_c.copy()
+    p = _per_pattern(_ORDERINGS, A, order)
     q = np.argsort(p)
     lu = spla.splu(A[q][:, q], permc_spec="NATURAL", **opts)
     return lambda b: lu.solve(b[q])[p]  # A[q][:, q] x[q] = b[q], and p inverts q
@@ -295,16 +303,56 @@ def _fixed_space_states(L: Liouvillian, ms: list[np.ndarray], null_tol: float) -
     )
 
 
+def _block_plan(L: Liouvillian) -> tuple:
+    """Maps from L.data to Q^dag B Q (B = L[idx][:, idx]), read off L's pattern, each in its smallest integer type.
+    Slots are the (i, k) whose quad (i, k), (p_i, k), (i, p_k), (p_i, p_k) meets B, in CSR order, so row p_i
+    lies ``shift[i]`` slots after row i.  ``inb`` marks B's slots (at ``bpos`` in L.data, as L's indices are
+    sorted); slot (i, p_k) lies ``cp`` slots after slot (i, k)."""
+    m, idx = L.matrix, reachable(L, np.arange(0, L.dim, L.hilbert_dim + 1))
+    (pos, p, kind), n, lens = _hermitian_basis(idx, L.hilbert_dim), idx.size, np.diff(m.indptr)[idx]
+    at = np.repeat(m.indptr[idx] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())  # L's rows idx
+    c = pos[m.indices[at]]
+    bpos, r, c = at[c >= 0], np.repeat(np.arange(n), lens)[c >= 0], c[c >= 0]
+    keys = np.sort(np.concatenate([r * n + c, p[r] * n + c, r * n + p[c], p[r] * n + p[c]]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    cols, indptr, inb = keys % n, np.searchsorted(keys, np.arange(n + 1) * n), np.zeros(keys.size, dtype=bool)
+    inb[np.searchsorted(keys, r * n + c)] = True
+    cp = np.searchsorted(keys, keys - cols + p[cols]) - np.arange(keys.size)
+    maps = idx, indptr, indptr[p] - indptr[:-1], p, kind, bpos, cp, cols
+    small = [v.astype(np.result_type(*map(np.min_scalar_type, (v.min(initial=0), v.max(initial=0))))) for v in maps]
+    return np.packbits(inb), *small
+
+
+def _population_block(L: Liouvillian):
+    """``(idx, R, x -> Q x)`` of ``L.restrict(idx)`` on the population block, bit for bit: every entry of Q^dag B,
+    (Q^dag B) Q and Q x is a sum of at most two products by 1, sqrt(1/2) or +-i sqrt(1/2), as in scipy's products.
+    Zeros may differ in sign: R drops them, and Q x adds +0, as scipy starts each sum at 0."""
+    inb, idx, indptr, shift, p, kind, bpos, cp, cols = _per_pattern(_BLOCKS, L.matrix, lambda: _block_plan(L))
+    own, far, lens, slots = _OWN[kind], _FAR[kind], np.diff(indptr), np.arange(cols.size)
+    X = np.zeros(cols.size, dtype=complex)
+    X[np.unpackbits(inb, count=cols.size).view(bool)] = np.take(L.matrix.data, bpos)  # B at slot (i, k)
+    T = np.take(X, np.repeat(shift, lens) + slots)  # B at (p_i, k)
+    T *= np.repeat(far.conj(), lens)
+    T += np.multiply(X, np.repeat(own.conj(), lens), out=X)  # Q^dag B, in place: new arrays cost page faults
+    V = np.take(T, cp + slots)
+    V *= np.take(far, cols)
+    V += np.multiply(T, np.take(own, cols), out=T)  # (Q^dag B) Q
+    _check_real(V)
+    keep = V.real != 0
+    R = sp.csr_matrix((V.real[keep], cols[keep], np.r_[0, np.cumsum(keep)][indptr]), shape=(idx.size,) * 2)
+    return idx, R, lambda x: own * x + np.take(far, p) * np.take(x, p) + 0.0
+
+
 def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     """Unique steady state via a trace-constrained sparse linear solve.
 
-    A unique steady state is the long-time limit of the maximally mixed
-    state, so only the block :func:`reachable` from the populations is
-    factored (924 of 4096 vec indices for the six-spin diode), in real
-    arithmetic, in the Hermitian coordinates of :meth:`Liouvillian.restrict`
-    (L maps Hermitian matrices to Hermitian ones, so there it is a real
-    map).  The one thing the block cannot see is a steady coherence outside
-    it, which can only exist beside a second steady state, on a degenerate L.
+    A unique steady state is the long-time limit of the maximally mixed state, so only the
+    block :func:`reachable` from the populations is factored (924 of 4096 vec indices for the
+    six-spin diode), in real arithmetic, in the Hermitian coordinates of :meth:`Liouvillian.restrict`
+    (L maps Hermitian matrices to Hermitian ones, so there it is a real map): ``restrict``'s block
+    bit for bit, through index maps into L.data that L's pattern fixes, built once per pattern
+    (:func:`_population_block`).  The one thing the block cannot see is a steady coherence
+    outside it, which can only exist beside a second steady state, on a degenerate L.
 
     The first row of the block becomes the trace functional and the solve
     is L' x = e_0.  Refinement runs while the correction shrinks and until
@@ -330,9 +378,8 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
     basis of a heat chain the coherent part sets ||L||_inf outside the
     population block.
     """
-    idx = reachable(L, np.arange(0, L.dim, L.hilbert_dim + 1))
     try:
-        R, Q = L.restrict(idx)
+        idx, R, lift = _population_block(L)
     except ValueError as exc:  # L does not preserve Hermiticity
         raise RuntimeError(f"population block: {exc}") from None
     n, d = idx.size, L.hilbert_dim
@@ -380,7 +427,7 @@ def steady_state_solve(L: Liouvillian) -> SteadyStateResult:
             )
 
     full = np.zeros(d * d, dtype=complex)
-    full[idx] = Q @ x  # exactly Hermitian, as x is real
+    full[idx] = lift(x)  # Q x, exactly Hermitian, as x is real
     m = unvectorize(full)
     m = m / np.trace(m).real
     rho = Operator(_repair_psd(m))

@@ -484,6 +484,7 @@ def test_heat_diode_matches_the_full_space_route(spec, cutoff, monkeypatch):
     up to 1.2e-13 (K_f) and 1.2e-14 (K_r) to cancellation.
     """
     m = heat_diode(spec, cutoff)
+    monkeypatch.setattr(steadystate, "_BLOCKS", {})  # both patterns are cached: a hit would never call reachable
     monkeypatch.setattr(steadystate, "reachable", lambda L, seeds: np.arange(L.dim))
     H, ((rho_f, bath_f), (rho_r, bath_r)) = full_space_heat_diode(spec, cutoff)
     blocked = spec.h >= 7.5 or cutoff > 0.0

@@ -4,8 +4,12 @@ One oracle is the same code with ``reachable`` patched to return every
 vec index, so the block and full-space solves differ only in the
 subspace they factor.  The other is a complex trace-constrained LU of
 the whole of L written here, which shares no code with the real
-Hermitian coordinates of ``Liouvillian.restrict``.
+Hermitian coordinates of ``Liouvillian.restrict``.  ``restrict`` itself is
+the oracle of the per-pattern maps through which ``steady_state_solve``
+builds the same block.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from spindiode.liouville import (
     unvectorize,
     vectorize,
 )
-from spindiode.models import ModelSpec, Variant, build_hamiltonian, critical_j34, critical_j34_heat
+from spindiode.models import ModelSpec, Variant, build_hamiltonian, chain_ends, critical_j34, critical_j34_heat
 from spindiode.observables import bias_dissipators
 from spindiode.spinops import coupling_zz, exchange_xx
 from spindiode.steadystate import steady_state_solve
@@ -102,6 +106,7 @@ def test_block_is_invariant_and_pinned(case):
 def test_block_steady_state_matches_full_space(case, monkeypatch):
     L, _ = case
     block = steady_state_solve(L).rho_ss.matrix
+    monkeypatch.setattr(steadystate, "_BLOCKS", {})  # L's pattern is cached: a hit would never call reachable
     monkeypatch.setattr(steadystate, "reachable", lambda L, seeds: np.arange(L.dim))
     full = steady_state_solve(L).rho_ss.matrix
     assert np.abs(block - full).max() < 1e-10
@@ -118,6 +123,7 @@ def test_heat_diode_matches_full_space_down_to_the_blocked_bias_floor(monkeypatc
     # whose coherent part has no diagonal
     spec = heat_spec(9.0)
     block = evaluate_heat_diode(spec)
+    monkeypatch.setattr(steadystate, "_BLOCKS", {})
     monkeypatch.setattr(steadystate, "reachable", lambda L, seeds: np.arange(L.dim))
     H = build_hamiltonian(spec)
     eps = np.linalg.eigvalsh(H.matrix)
@@ -158,6 +164,7 @@ def test_dropping_one_block_index_is_caught(monkeypatch):
     L = diode_spin()
     true_block = population_block(L)
     dropped = np.delete(true_block, true_block.size // 2)
+    monkeypatch.setattr(steadystate, "_BLOCKS", {})
     monkeypatch.setattr(steadystate, "reachable", lambda L, seeds: dropped)
     with pytest.raises(RuntimeError):
         steady_state_solve(L)
@@ -242,3 +249,60 @@ def test_restricted_spectrum_matches_complex_block():
     rows, cols = linear_sum_assignment(np.abs(real[:, None] - cplx[None, :]))
     assert real.shape == cplx.shape
     assert np.abs(real[rows] - cplx[cols]).max() < 1e-10
+
+
+def restrict_block(L):
+    """``(idx, R, x -> Q x)`` through reachable and Liouvillian.restrict: the oracle of the cached maps."""
+    idx = population_block(L)
+    R, Q = L.restrict(idx)
+    return idx, R, Q.__matmul__
+
+
+def spin_biases(variant, extra=(), fermion=False):
+    spec = ModelSpec(variant=variant, delta=0.1)
+    H = build_jw_hamiltonian(spec) if fermion else build_hamiltonian(spec)
+    kind = DissipatorKind.FERMION_LADDER if fermion else DissipatorKind.SPIN_LADDER
+    return [assemble_liouvillian(H, [replace(c, kind=kind) if c.kind is DissipatorKind.SPIN_LADDER else c for c in bias])
+            for bias in bias_dissipators(spec, 1.0, extra)]
+
+
+def heat_biases(spec, cutoff=0.0):
+    H, (first, last) = build_hamiltonian(spec), chain_ends(spec)
+    return [assemble_global_liouvillian(H, [ThermalBathSpec(first, hot, secular_cutoff=cutoff),
+                                            ThermalBathSpec(last, cold, secular_cutoff=cutoff)])[0]
+            for hot, cold in ((10.1, 0.1), (0.1, 10.1))]
+
+
+# (both biases' generators, how many of them are also solved): a seven-spin or cutoff-0.5 solve takes
+# 0.5-1.6 s, so of the seven-spin variants only ShadowCorrected's forward bias is solved
+SOLVED = {Variant.EXTENDED_MXX: 0, Variant.EXTENDED_XXM: 0, Variant.EXTENDED_XXZM: 0, Variant.SHADOW_CORRECTED: 1}
+BIT_CASES = {
+    **{f"spin_{v.value}": (lambda v=v: spin_biases(v), SOLVED.get(v, 2)) for v in Variant},
+    "diode_fermion": (lambda: spin_biases(Variant.DIODE, fermion=True), 2),
+    "diode_decoherence": (lambda: spin_biases(Variant.DIODE, decoherence_channels(6, 1e3)), 2),
+    "heat_h5": (lambda: heat_biases(heat_spec(5.0)), 2),
+    "heat_h9": (lambda: heat_biases(heat_spec(9.0)), 2),
+    "heat_cutoff_0.5": (lambda: heat_biases(heat_spec(5.0), 0.5), 1),
+    "linear_heat": (lambda: heat_biases(ModelSpec(variant=Variant.LINEAR_REFERENCE, h=5.0)), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(BIT_CASES))
+def test_cached_block_is_restricts_block_bit_for_bit(name, monkeypatch):
+    """The population block from the per-pattern maps is restrict's, byte for byte, on a miss and on a hit,
+    and so is the steady state solved through it."""
+    build, solved = BIT_CASES[name]
+    for k, L in enumerate(build()):
+        idx, R, _ = restrict_block(L)
+        monkeypatch.setattr(steadystate, "_BLOCKS", {})
+        for _ in ("cold", "warm"):
+            got_idx, got, _ = steadystate._population_block(L)
+            assert got_idx.tolist() == idx.tolist()
+            for a in ("indptr", "indices", "data"):
+                assert getattr(got, a).tobytes() == getattr(R, a).tobytes()
+        if k < solved:
+            monkeypatch.setattr(steadystate, "_BLOCKS", {})
+            states = [steady_state_solve(L).rho_ss.matrix.tobytes() for _ in ("cold", "warm")]
+            with monkeypatch.context() as m:
+                m.setattr(steadystate, "_population_block", restrict_block)
+                assert states == [steady_state_solve(L).rho_ss.matrix.tobytes()] * 2

@@ -293,6 +293,39 @@ def test_a_new_pattern_misses_and_still_solves(monkeypatch):
     assert len(table) == steadystate._MAX_ORDERINGS and bytes([1]) not in table
 
 
+def test_block_table_drops_its_oldest_entry_and_keeps_no_generator(monkeypatch):
+    """The population-block table is bounded like the orderings' one, and no stored array views L."""
+    table = {bytes([k]): None for k in range(steadystate._MAX_ORDERINGS)}
+    monkeypatch.setattr(steadystate, "_BLOCKS", table)
+    L = boundary_driven(0.02, hot=6, cold=1)
+    assert steady_state_solve(L).residual < 1e-10
+    assert len(table) == steadystate._MAX_ORDERINGS and bytes([0]) not in table
+    stored = [a for a in table[list(table)[-1]] if isinstance(a, np.ndarray)]
+    assert len(stored) == 9
+    for a in stored:
+        assert not any(np.shares_memory(a, b) for b in (L.matrix.data, L.matrix.indices, L.matrix.indptr))
+    assert steady_state_solve(small_chain()).residual < 1e-10
+    assert len(table) == steadystate._MAX_ORDERINGS and bytes([1]) not in table
+
+
+def test_a_hit_still_refuses_what_a_cold_solve_refuses(monkeypatch):
+    """The maps read L's pattern only, so a hit still checks Hermiticity and still refuses delta = 0."""
+    monkeypatch.setattr(steadystate, "_BLOCKS", {})
+    L = boundary_driven(0.02, hot=6, cold=1)
+    steady_state_solve(L)
+    L.matrix.data *= np.exp(0.3j)  # the same pattern: a hit
+    with pytest.raises(RuntimeError, match="population block: L does not preserve Hermiticity"):
+        steady_state_solve(L)
+    degenerate = boundary_driven(0.0, hot=6, cold=1)
+    with pytest.raises(RuntimeError) as warm:
+        steady_state_solve(degenerate)  # delta = 0.02's entry: the same pattern digest
+    assert len(steadystate._BLOCKS) == 1
+    monkeypatch.setattr(steadystate, "_BLOCKS", {})
+    with pytest.raises(RuntimeError) as cold:
+        steady_state_solve(degenerate)
+    assert "degenerate" in str(cold.value) and str(warm.value) == str(cold.value)
+
+
 def test_arbitration_margins_around_the_threshold():
     """The slow heat mode stays above the 1e-15 arbitration threshold, a second null vector far below."""
 
